@@ -1,9 +1,8 @@
-//! Shared workload builders and reporting helpers for the benchmarks and the
-//! `experiments` harness.
+//! Shared workload builders and reporting helpers for the `experiments`
+//! harness and the `perfbench` benchmark.
 //!
-//! Every experiment in EXPERIMENTS.md states its workload in terms of the
-//! functions here, so the criterion benches and the harness binary measure
-//! exactly the same instances.
+//! Every experiment states its workload in terms of the functions here, so
+//! each run measures exactly the same instances.
 
 pub mod baseline;
 pub mod load;

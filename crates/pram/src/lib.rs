@@ -30,7 +30,10 @@
 //!   through the `*_in`/`*_into` primitive variants and the `mis-core`
 //!   algorithm entry points, so a stream of solves reuses one set of
 //!   buffers — plus [`WorkspacePool`], the per-shard checkout/checkin layer
-//!   the facade's sharded serving subsystem is built on.
+//!   the facade's sharded serving subsystem is built on. Each workspace
+//!   also keeps the serving layer's bounded per-tenant and per-graph
+//!   counters (rewarms, epoch changes, evicted pins), which the pool merges
+//!   across shards.
 
 #![warn(missing_docs)]
 // `deny` rather than `forbid`: the `simd` module opts back in locally for

@@ -146,11 +146,10 @@
 //! registry drops the snapshots of least-recently-touched **spillable**
 //! graphs — mapped, never mutated (an edit log pins a graph: its epochs
 //! exist nowhere on disk) — and transparently pages them back in from their
-//! source files on the next touch. Spills and page-ins are counted per
-//! graph ([`ResidentRegistry::spills`] / [`page_ins`](ResidentRegistry::page_ins))
-//! and mirrored into the per-shard pram spill ledgers on the request path
-//! ([`WorkspacePool::graph_spill_totals`]), next to the eviction ledger. A
-//! graph whose source file has meanwhile disappeared answers requests with
+//! source files on the next touch. The registry counts spills and page-ins
+//! per graph ([`ResidentRegistry::spills`] /
+//! [`page_ins`](ResidentRegistry::page_ins)). A graph whose source file has
+//! meanwhile disappeared answers requests with
 //! [`SolveError::SnapshotUnavailable`] — an outcome, not a panic.
 //!
 //! # Retention and compaction
@@ -1213,51 +1212,34 @@ impl ResidentRegistry {
     /// `pin` to a snapshot. This is the submission-time resolution point —
     /// the returned `Arc` keeps the snapshot alive for the request however
     /// the retention floor moves afterwards, which is what makes outcomes
-    /// independent of the race between queue scheduling and eviction.
-    // The request paths go through `lookup_counted` to mirror page-ins into
-    // the spill ledgers; this thin wrapper serves the resolution suites.
-    #[cfg_attr(not(test), allow(dead_code))]
+    /// independent of the race between queue scheduling and eviction. A
+    /// spilled graph is paged back in here, counted by
+    /// [`page_ins`](Self::page_ins).
     pub(crate) fn lookup(
         &self,
         id: GraphId,
         pin: EpochPin,
     ) -> Result<Arc<ResidentSnapshot>, SolveError> {
-        self.lookup_counted(id, pin).0
-    }
-
-    /// [`lookup`](Self::lookup) plus the spill-policy observation: the
-    /// returned flag is `true` when this resolution had to page the graph's
-    /// spilled base snapshot back in — what the serving layer mirrors into
-    /// the pram spill ledgers ([`Workspace::note_graph_paged_in`]).
-    pub(crate) fn lookup_counted(
-        &self,
-        id: GraphId,
-        pin: EpochPin,
-    ) -> (Result<Arc<ResidentSnapshot>, SolveError>, bool) {
         if id.registry != self.tag {
-            return (Err(SolveError::UnknownGraph(id)), false);
+            return Err(SolveError::UnknownGraph(id));
         }
         let Some(entry) = self.entries.get(id.index) else {
-            return (Err(SolveError::UnknownGraph(id)), false);
+            return Err(SolveError::UnknownGraph(id));
         };
         loop {
             match self.page_in_if_spilled(entry) {
                 Ok(Some(snap)) => {
                     // A spilled entry was never mutated: the paged-in base
                     // is its only epoch.
-                    let resolved = match pin {
+                    return match pin {
                         EpochPin::Latest => Ok(snap),
                         EpochPin::At(epoch) if epoch == snap.epoch() => Ok(snap),
                         EpochPin::At(epoch) => Err(SolveError::UnknownEpoch { graph: id, epoch }),
                     };
-                    return (resolved, true);
                 }
                 Ok(None) => {}
                 Err(detail) => {
-                    return (
-                        Err(SolveError::SnapshotUnavailable { graph: id, detail }),
-                        false,
-                    );
+                    return Err(SolveError::SnapshotUnavailable { graph: id, detail });
                 }
             }
             let st = entry.read().expect(LOCK_POISONED);
@@ -1273,7 +1255,7 @@ impl ResidentRegistry {
                     // evicted slot, the epoch existed and retention dropped
                     // it (EpochEvicted); otherwise the snapshot is resident.
                     if epoch > st.current_epoch() {
-                        return (Err(SolveError::UnknownEpoch { graph: id, epoch }), false);
+                        return Err(SolveError::UnknownEpoch { graph: id, epoch });
                     }
                     let resident = epoch
                         .0
@@ -1289,7 +1271,7 @@ impl ResidentRegistry {
                     }
                 }
             };
-            return (resolved, false);
+            return resolved;
         }
     }
 
@@ -1794,16 +1776,7 @@ pub(crate) fn execute(
     req: &SolveRequest,
     ws: &mut Workspace,
 ) -> SolveOutcome {
-    let resolved = req.target.graph_id().map(|id| {
-        let (resolved, paged_in) = registry.lookup_counted(id, req.pin);
-        if paged_in {
-            // Observability only, like the eviction noting below: one spill
-            // observed, one page-in (the page-in undid exactly one spill).
-            ws.note_graph_spilled(id.index as u64);
-            ws.note_graph_paged_in(id.index as u64);
-        }
-        resolved
-    });
+    let resolved = req.target.graph_id().map(|id| registry.lookup(id, req.pin));
     execute_resolved(req, resolved, ws)
 }
 
@@ -2189,10 +2162,6 @@ struct Job {
     // pinned snapshot alive even if retention evicts it, or `compact`
     // re-bases the graph, while the job waits in a shard queue.
     resolved: Option<Result<Arc<ResidentSnapshot>, SolveError>>,
-    // Whether that resolution paged a spilled snapshot back in — carried to
-    // the worker so the observation lands in *its shard's* spill ledger,
-    // the same place evicted-pin touches land.
-    paged_in: bool,
 }
 
 /// Per-tenant admission bookkeeping (see [`AdmissionConfig`]).
@@ -2277,22 +2246,11 @@ impl ShardedRunner {
                         ticket,
                         request,
                         resolved,
-                        paged_in,
                     }) = rx.recv()
                     {
                         // Shutdown: drain the queue without solving it.
                         if cancel.load(std::sync::atomic::Ordering::Acquire) {
                             continue;
-                        }
-                        // Mirror a submission-time page-in into this shard's
-                        // spill ledger (one spill observed, one page-in —
-                        // the page-in undid exactly one spill).
-                        if paged_in {
-                            if let Some(id) = request.target.graph_id() {
-                                let ws = runner.workspace_mut();
-                                ws.note_graph_spilled(id.index as u64);
-                                ws.note_graph_paged_in(id.index as u64);
-                            }
                         }
                         // Workers never consult the registry: the snapshot
                         // (or error) was fixed at submission time, so a
@@ -2405,12 +2363,10 @@ impl ShardedRunner {
         // the resolution error — `UnknownGraph`, `UnknownEpoch`,
         // `EpochEvicted` — as data), so a later eviction or `compact` cannot
         // retarget or fail a request that was admitted against a live epoch.
-        let mut paged_in = false;
-        let resolved = request.target.graph_id().map(|id| {
-            let (resolved, paged) = self.registry.lookup_counted(id, request.pin);
-            paged_in = paged;
-            resolved
-        });
+        let resolved = request
+            .target
+            .graph_id()
+            .map(|id| self.registry.lookup(id, request.pin));
         if let Some(Ok(snap)) = &resolved {
             // Echo the concrete epoch into the pin so the outcome reports it.
             request.pin = EpochPin::At(snap.epoch());
@@ -2442,7 +2398,6 @@ impl ShardedRunner {
                 ticket,
                 request,
                 resolved,
-                paged_in,
             })
             .expect("serve: worker shard disconnected (a worker thread panicked)");
         ticket
@@ -2946,8 +2901,8 @@ mod tests {
     }
 
     // The request path resolves pins against a paged-in base snapshot with
-    // the same three-way semantics as a resident entry, and reports the
-    // page-in so the workspace ledgers can mirror it.
+    // the same three-way semantics as a resident entry, and the registry
+    // counts each page-in.
     #[test]
     fn lookup_pages_in_spilled_entries_and_reports_it() {
         let path = temp_csr("lookup");
@@ -2957,8 +2912,7 @@ mod tests {
         assert!(reg.is_spilled(id), "a zero cap spills immediately");
         assert_eq!(reg.resident_bytes(), 0);
 
-        let (res, paged_in) = reg.lookup_counted(id, EpochPin::Latest);
-        assert!(paged_in);
+        let res = reg.lookup(id, EpochPin::Latest);
         assert_eq!(res.unwrap().graph(), &tiny());
         // The zero cap re-spills as soon as the query's Arc is handed out.
         assert!(reg.is_spilled(id));
@@ -2967,10 +2921,9 @@ mod tests {
 
         // Pinned lookups agree with resident semantics: the base epoch
         // resolves, an epoch beyond the tip is unknown.
-        let (res, paged_in) = reg.lookup_counted(id, EpochPin::At(Epoch(0)));
-        assert!(paged_in);
-        assert!(res.is_ok());
-        let (res, _) = reg.lookup_counted(id, EpochPin::At(Epoch(5)));
+        assert!(reg.lookup(id, EpochPin::At(Epoch(0))).is_ok());
+        assert_eq!(reg.page_ins(id), 2);
+        let res = reg.lookup(id, EpochPin::At(Epoch(5)));
         assert_eq!(
             res.unwrap_err(),
             SolveError::UnknownEpoch {
@@ -3017,8 +2970,8 @@ mod tests {
         assert!(reg.is_spilled(id));
         std::fs::remove_file(&path).unwrap();
 
-        let (res, paged_in) = reg.lookup_counted(id, EpochPin::Latest);
-        assert!(!paged_in);
+        let res = reg.lookup(id, EpochPin::Latest);
+        assert_eq!(reg.page_ins(id), 0);
         match res.unwrap_err() {
             SolveError::SnapshotUnavailable { graph, detail } => {
                 assert_eq!(graph, id);
