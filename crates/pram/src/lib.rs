@@ -11,9 +11,6 @@
 //! * [`primitives`] — the PRAM building blocks (map, reduce, scan, compact,
 //!   tabulate) executed with rayon and charged with their textbook
 //!   `O(n)`-work / `O(log n)`-depth costs.
-//! * [`erew`] — a small exclusive-read/exclusive-write access checker used by
-//!   tests to demonstrate that the primitives' access patterns respect the
-//!   EREW discipline the paper assumes.
 //! * [`pool`] — helpers to run a computation on a dedicated rayon pool with a
 //!   fixed thread count (used by the threads-sweep experiment) and to spawn
 //!   the serving layer's long-lived per-shard worker threads.
@@ -43,7 +40,6 @@
 #![deny(unsafe_code)]
 
 pub mod cost;
-pub mod erew;
 pub mod mmap;
 pub mod pool;
 pub mod primitives;

@@ -124,7 +124,7 @@ impl ClientReceiver {
 }
 
 fn recv_reply(stream: &mut TcpStream, max_frame_payload: u32) -> Result<Reply, Error> {
-    match frame::read_frame(stream, max_frame_payload, &|| false)? {
+    match frame::read_frame(stream, max_frame_payload)? {
         ReadFrame::Frame(FrameKind::Outcome, payload) => {
             let (correlation, outcome) = decode_outcome_payload(&payload)?;
             Ok(Reply {
@@ -144,11 +144,6 @@ fn recv_reply(stream: &mut TcpStream, max_frame_payload: u32) -> Result<Reply, E
         ReadFrame::Eof => Err(Error::Io(std::io::Error::new(
             std::io::ErrorKind::UnexpectedEof,
             "server closed the connection",
-        ))),
-        // Unreachable: the stop closure above is constantly false, and
-        // client streams configure no read timeout.
-        ReadFrame::Stopped => Err(Error::Io(std::io::Error::from(
-            std::io::ErrorKind::WouldBlock,
         ))),
     }
 }

@@ -275,72 +275,48 @@ pub fn decode_frame(buf: &[u8], max_payload: u32) -> Result<(Frame<'_>, usize), 
     Ok((Frame { kind, payload }, needed))
 }
 
-/// What [`read_frame`] pulled off a stream.
+/// What [`read_frame`] pulled off a blocking stream.
 #[derive(Debug)]
 pub(crate) enum ReadFrame {
     /// One verified frame.
     Frame(FrameKind, Vec<u8>),
-    /// The peer closed the stream cleanly, at a frame boundary.
+    /// The stream reached end-of-file at a frame boundary: the peer closed
+    /// cleanly, or (on a server) shutdown closed the read half.
     Eof,
-    /// `stop()` turned true while waiting (only possible on streams with a
-    /// read timeout configured).
-    Stopped,
 }
 
-/// Reads exactly `buf.len()` bytes, retrying timeouts but polling `stop`
-/// on each one. `start_of_frame` distinguishes a clean close (EOF before
-/// any byte of a new frame) from a mid-frame truncation.
-fn read_full(
-    stream: &mut impl Read,
-    buf: &mut [u8],
-    start_of_frame: bool,
-    needed: usize,
-    stop: &impl Fn() -> bool,
-) -> Result<Option<usize>, crate::Error> {
+/// Reads until `buf` is full or the stream ends, returning the byte count.
+fn read_full(stream: &mut impl Read, buf: &mut [u8]) -> std::io::Result<usize> {
     let mut got = 0usize;
     while got < buf.len() {
         match stream.read(&mut buf[got..]) {
-            Ok(0) => {
-                if start_of_frame && got == 0 {
-                    return Ok(None); // clean EOF at a frame boundary
-                }
-                return Err(crate::Error::Frame(FrameError::Truncated {
-                    needed,
-                    have: needed - buf.len() + got,
-                }));
-            }
+            Ok(0) => break,
             Ok(n) => got += n,
-            Err(e)
-                if matches!(
-                    e.kind(),
-                    std::io::ErrorKind::WouldBlock | std::io::ErrorKind::TimedOut
-                ) =>
-            {
-                if stop() {
-                    return Ok(Some(got));
-                }
-            }
             Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {}
-            Err(e) => return Err(crate::Error::Io(e)),
+            Err(e) => return Err(e),
         }
     }
-    Ok(Some(got))
+    Ok(got)
 }
 
-/// Reads one frame from a stream: header first, then the declared payload
-/// (already bounds-checked against `max_payload`), then the checksum
-/// verification. Timeouts poll `stop` so a server reader can notice
-/// shutdown; a stream without a read timeout never observes `Stopped`.
+/// Reads one frame from a blocking stream: header first, then the declared
+/// payload (already bounds-checked against `max_payload`), then the
+/// checksum verification. EOF before the first byte of a frame is
+/// [`ReadFrame::Eof`]; EOF inside one is [`FrameError::Truncated`].
 pub(crate) fn read_frame(
     stream: &mut impl Read,
     max_payload: u32,
-    stop: &impl Fn() -> bool,
 ) -> Result<ReadFrame, crate::Error> {
     let mut header = [0u8; HEADER_LEN];
-    match read_full(stream, &mut header, true, HEADER_LEN, stop)? {
-        None => return Ok(ReadFrame::Eof),
-        Some(got) if got < HEADER_LEN => return Ok(ReadFrame::Stopped),
-        Some(_) => {}
+    match read_full(stream, &mut header)? {
+        0 => return Ok(ReadFrame::Eof),
+        HEADER_LEN => {}
+        have => {
+            return Err(crate::Error::Frame(FrameError::Truncated {
+                needed: HEADER_LEN,
+                have,
+            }))
+        }
     }
     // Validate the header alone by offering the frame decoder just the
     // header bytes: every check except the final truncation/checksum pair
@@ -353,9 +329,12 @@ pub(crate) fn read_frame(
     let len = u32::from_le_bytes([header[8], header[9], header[10], header[11]]) as usize;
     let needed = HEADER_LEN + len;
     let mut payload = vec![0u8; len];
-    match read_full(stream, &mut payload, false, needed, stop)? {
-        Some(got) if got < len => return Ok(ReadFrame::Stopped),
-        _ => {}
+    let got = read_full(stream, &mut payload)?;
+    if got < len {
+        return Err(crate::Error::Frame(FrameError::Truncated {
+            needed,
+            have: HEADER_LEN + got,
+        }));
     }
     let stored = u64::from_le_bytes([
         header[12], header[13], header[14], header[15], header[16], header[17], header[18],

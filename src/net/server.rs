@@ -5,30 +5,33 @@
 //!
 //! No async runtime — the workspace vendors none, and none is needed. The
 //! server is a small set of plain threads over the same
-//! [`pram::pool::spawn_worker`] seam the shards use:
+//! [`pram::pool::spawn_worker`] seam the shards use. Each blocks on one
+//! source and wakes only for an event on it; none polls or sleeps while idle:
 //!
-//! * one **acceptor** polls a nonblocking [`TcpListener`] and spawns a
+//! * one **acceptor** blocks in [`TcpListener::accept`] and spawns a
 //!   reader/writer pair per connection;
-//! * each connection's **reader** decodes request frames and forwards them
-//!   to the dispatcher (a codec rejection is answered with an error frame
-//!   and closes the connection — a byte stream cannot resynchronise past a
-//!   framing error);
-//! * each connection's **writer** owns the response half of the socket and
-//!   encodes outcome/error frames from its queue, so a slow connection
+//! * each connection's **reader** blocks on its socket and forwards decoded
+//!   request frames to the dispatcher (a codec rejection is answered with an
+//!   error frame and closes the connection — a byte stream cannot
+//!   resynchronise past a framing error);
+//! * each connection's **writer** blocks on its queue and encodes
+//!   outcome/error frames onto the socket, so a slow connection
 //!   backpressures only itself;
-//! * one **dispatcher** owns the
-//!   [`ShardedRunner`] — the only thread that
-//!   touches it. It interleaves submissions with
-//!   [`try_collect_one`](crate::serve::ShardedRunner::try_collect_one)
-//!   polls, routing each completed outcome to the writer of the connection
-//!   whose ticket it answers. Requests from every connection funnel through
-//!   one submission sequence, so each request's outcome is exactly what the
-//!   library would have produced — per-request determinism holds whatever
-//!   the cross-connection interleaving.
+//! * one **dispatcher** blocks on the event channel and is the only thread
+//!   that touches the [`ShardedRunner`]. The runner's workers post a
+//!   wake-up event after each outcome, and after every event the dispatcher
+//!   drains finished outcomes with
+//!   [`try_collect_one`](crate::serve::ShardedRunner::try_collect_one),
+//!   routing each to the writer of the connection whose ticket it answers.
+//!   Requests from every connection funnel through one submission sequence,
+//!   so per-request determinism holds whatever the interleaving.
 //!
-//! [`Server::shutdown`] is graceful: in-flight (already submitted)
-//! requests complete and their responses are flushed; bytes not yet decoded
-//! off a socket are dropped with the connection.
+//! [`Server::shutdown`] wakes each thread explicitly: a loopback connection
+//! unblocks the acceptor, closing the read half of each socket unblocks its
+//! reader, and a shutdown event ends the dispatcher's loop. It is graceful:
+//! in-flight (already submitted) requests complete and their responses are
+//! flushed; bytes not yet decoded off a socket are dropped, and a frame cut
+//! short this way is a quiet close, not a protocol error.
 
 use super::codec::{encode_error_frame, encode_outcome_frame};
 use super::frame::{self, FrameKind, ReadFrame, DEFAULT_MAX_PAYLOAD};
@@ -36,18 +39,20 @@ use crate::serve::{
     ConnectionStats, ResidentRegistry, ServeConfig, ServeStats, ShardedRunner, SolveOutcome,
     SolveRequest,
 };
+use pram::WorkspacePool;
 use std::collections::BTreeMap;
 use std::io::Write;
-use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
+use std::net::{
+    IpAddr, Ipv4Addr, Ipv6Addr, Shutdown, SocketAddr, TcpListener, TcpStream, ToSocketAddrs,
+};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::mpsc::{self, RecvTimeoutError};
-use std::sync::{Arc, Mutex};
+use std::sync::{mpsc, Arc, Mutex};
 use std::thread::JoinHandle;
 use std::time::Duration;
 
-/// How long blocking socket/queue operations wait before re-checking the
-/// shutdown flag.
-const POLL: Duration = Duration::from_millis(10);
+/// How long the acceptor backs off after a failed `accept` (out of file
+/// descriptors, typically) before trying again.
+const ACCEPT_BACKOFF: Duration = Duration::from_millis(10);
 
 /// Configuration of a [`Server`].
 #[derive(Debug, Clone)]
@@ -81,7 +86,21 @@ struct ConnCounters {
     protocol_errors: AtomicU64,
 }
 
-/// What flows from connection threads to the dispatcher.
+/// Connection bookkeeping shared by the acceptor, the readers and
+/// [`Server::shutdown`].
+#[derive(Default)]
+struct Conns {
+    stopping: AtomicBool,
+    readers: Mutex<Vec<JoinHandle<()>>>,
+    writers: Mutex<Vec<JoinHandle<()>>>,
+    counters: Mutex<BTreeMap<u64, Arc<ConnCounters>>>,
+    /// A clone of each open connection's socket, so shutdown can close its
+    /// read half and wake the reader. A reader removes its entry on exit.
+    live: Mutex<BTreeMap<u64, TcpStream>>,
+}
+
+/// What flows to the dispatcher: connection events from the acceptor and
+/// the readers, wake-ups from the runner's workers, and the final shutdown.
 enum Event {
     Connect {
         conn: u64,
@@ -95,6 +114,10 @@ enum Event {
     Disconnect {
         conn: u64,
     },
+    /// A worker posted an outcome (or its death notice) to the runner.
+    Completed,
+    /// Sent by [`Server::shutdown`] once every reader has exited.
+    Shutdown,
 }
 
 /// What flows from the dispatcher (or a reader, for codec rejections) to a
@@ -116,13 +139,10 @@ enum WriterMsg {
 /// [`net` docs](crate::net) for the protocol.
 pub struct Server {
     addr: SocketAddr,
-    shutdown: Arc<AtomicBool>,
-    events: Option<mpsc::Sender<Event>>,
+    conns: Arc<Conns>,
+    events: mpsc::Sender<Event>,
     acceptor: Option<JoinHandle<()>>,
     dispatcher: Option<JoinHandle<ServeStats>>,
-    readers: Arc<Mutex<Vec<JoinHandle<()>>>>,
-    writers: Arc<Mutex<Vec<JoinHandle<()>>>>,
-    counters: Arc<Mutex<BTreeMap<u64, Arc<ConnCounters>>>>,
 }
 
 impl Server {
@@ -136,52 +156,44 @@ impl Server {
         config: &NetConfig,
     ) -> std::io::Result<Server> {
         let listener = TcpListener::bind(addr)?;
-        listener.set_nonblocking(true)?;
         let addr = listener.local_addr()?;
-        let shutdown = Arc::new(AtomicBool::new(false));
+        let conns = Arc::new(Conns::default());
         let (events_tx, events_rx) = mpsc::channel::<Event>();
-        let readers: Arc<Mutex<Vec<JoinHandle<()>>>> = Arc::default();
-        let writers: Arc<Mutex<Vec<JoinHandle<()>>>> = Arc::default();
-        let counters: Arc<Mutex<BTreeMap<u64, Arc<ConnCounters>>>> = Arc::default();
 
-        let runner = ShardedRunner::new(registry, &config.serve);
+        let wake = {
+            let events = events_tx.clone();
+            Arc::new(move || {
+                let _ = events.send(Event::Completed);
+            })
+        };
+        let pool = WorkspacePool::default(); // `spawn` sizes it
+        let runner = ShardedRunner::spawn(registry, &config.serve, pool, Some(wake));
         let dispatcher = pram::pool::spawn_worker("net-dispatcher".into(), None, move || {
             dispatch(runner, events_rx)
         });
 
         let acceptor = {
-            let shutdown = Arc::clone(&shutdown);
+            let conns = Arc::clone(&conns);
             let events = events_tx.clone();
-            let readers = Arc::clone(&readers);
-            let writers = Arc::clone(&writers);
-            let counters = Arc::clone(&counters);
             let max_payload = config.max_frame_payload;
             pram::pool::spawn_worker("net-acceptor".into(), None, move || {
                 let mut next_conn = 0u64;
-                while !shutdown.load(Ordering::Acquire) {
-                    match listener.accept() {
+                loop {
+                    let accepted = listener.accept();
+                    // `stop` raises the flag, then connects once to wake
+                    // this accept.
+                    if conns.stopping.load(Ordering::Acquire) {
+                        return;
+                    }
+                    match accepted {
                         Ok((stream, _)) => {
-                            let conn = next_conn;
+                            // A socket that cannot be configured (peer
+                            // already gone, typically) is dropped.
+                            let _ =
+                                spawn_connection(next_conn, stream, max_payload, &conns, &events);
                             next_conn += 1;
-                            if let Err(e) = spawn_connection(
-                                conn,
-                                stream,
-                                max_payload,
-                                &shutdown,
-                                &events,
-                                &readers,
-                                &writers,
-                                &counters,
-                            ) {
-                                // Socket configuration failed (peer already
-                                // gone, typically): drop the connection.
-                                let _ = e;
-                            }
                         }
-                        Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
-                            std::thread::sleep(POLL);
-                        }
-                        Err(_) => std::thread::sleep(POLL),
+                        Err(_) => std::thread::sleep(ACCEPT_BACKOFF),
                     }
                 }
             })
@@ -189,13 +201,10 @@ impl Server {
 
         Ok(Server {
             addr,
-            shutdown,
-            events: Some(events_tx),
+            conns,
+            events: events_tx,
             acceptor: Some(acceptor),
             dispatcher: Some(dispatcher),
-            readers,
-            writers,
-            counters,
         })
     }
 
@@ -209,25 +218,42 @@ impl Server {
     /// returns the final [`ServeStats`] with
     /// [`connections`](ServeStats::connections) filled in (one entry per
     /// connection ever accepted, including already-closed ones).
+    ///
+    /// # Panics
+    /// Panics if the dispatcher panicked, which is how a dead worker shard
+    /// surfaces (see [`ShardedRunner::collect_ordered`]).
     pub fn shutdown(mut self) -> ServeStats {
         self.stop().expect("net: dispatcher thread panicked")
     }
 
     fn stop(&mut self) -> Option<ServeStats> {
-        self.shutdown.store(true, Ordering::Release);
+        self.conns.stopping.store(true, Ordering::Release);
         if let Some(h) = self.acceptor.take() {
+            // Wake the blocked accept; a wildcard bind answers on loopback.
+            let mut wake = self.addr;
+            match wake.ip() {
+                IpAddr::V4(ip) if ip.is_unspecified() => wake.set_ip(Ipv4Addr::LOCALHOST.into()),
+                IpAddr::V6(ip) if ip.is_unspecified() => wake.set_ip(Ipv6Addr::LOCALHOST.into()),
+                _ => {}
+            }
+            let _ = TcpStream::connect(wake);
             let _ = h.join();
         }
-        for h in self.readers.lock().expect("reader list").drain(..) {
+        // The live set is complete now. The write halves stay open so the
+        // drained responses still flush.
+        for stream in self.conns.live.lock().expect("live sockets").values() {
+            let _ = stream.shutdown(Shutdown::Read);
+        }
+        for h in self.conns.readers.lock().expect("reader list").drain(..) {
             let _ = h.join();
         }
-        // All reader-held event senders are gone; dropping ours ends the
-        // dispatcher's event loop, which drains outstanding outcomes to the
-        // writers and then drops their queues.
-        self.events.take();
+        // Every submission is queued ahead of this event. The dispatcher
+        // drains outstanding outcomes to the writers, then drops their queues.
+        let _ = self.events.send(Event::Shutdown);
         let stats = self.dispatcher.take().map(|h| {
             let mut stats = h.join().expect("net: dispatcher thread panicked");
             stats.connections = self
+                .conns
                 .counters
                 .lock()
                 .expect("connection counters")
@@ -241,7 +267,7 @@ impl Server {
                 .collect();
             stats
         });
-        for h in self.writers.lock().expect("writer list").drain(..) {
+        for h in self.conns.writers.lock().expect("writer list").drain(..) {
             let _ = h.join();
         }
         stats
@@ -257,26 +283,27 @@ impl Drop for Server {
 }
 
 /// Spawns one connection's reader and writer threads.
-#[allow(clippy::too_many_arguments)]
 fn spawn_connection(
     conn: u64,
     stream: TcpStream,
     max_payload: u32,
-    shutdown: &Arc<AtomicBool>,
+    conns: &Arc<Conns>,
     events: &mpsc::Sender<Event>,
-    readers: &Arc<Mutex<Vec<JoinHandle<()>>>>,
-    writers: &Arc<Mutex<Vec<JoinHandle<()>>>>,
-    counters: &Arc<Mutex<BTreeMap<u64, Arc<ConnCounters>>>>,
 ) -> std::io::Result<()> {
     stream.set_nodelay(true)?;
-    // The read timeout is what lets the reader poll the shutdown flag.
-    stream.set_read_timeout(Some(POLL))?;
     let write_half = stream.try_clone()?;
+    let shutdown_handle = stream.try_clone()?;
     let conn_counters = Arc::new(ConnCounters::default());
-    counters
+    conns
+        .counters
         .lock()
         .expect("connection counters")
         .insert(conn, Arc::clone(&conn_counters));
+    conns
+        .live
+        .lock()
+        .expect("live sockets")
+        .insert(conn, shutdown_handle);
 
     let (writer_tx, writer_rx) = mpsc::channel::<WriterMsg>();
     // Registration precedes the reader spawn, so the dispatcher always
@@ -292,92 +319,86 @@ fn spawn_connection(
             write_loop(write_half, writer_rx, &counters)
         })
     };
-    writers.lock().expect("writer list").push(writer);
+    conns.writers.lock().expect("writer list").push(writer);
 
     let reader = {
-        let shutdown = Arc::clone(shutdown);
+        let conns = Arc::clone(conns);
         let events = events.clone();
-        let counters = Arc::clone(&conn_counters);
         pram::pool::spawn_worker(format!("net-conn-{conn}-reader"), None, move || {
             read_loop(
                 conn,
                 stream,
                 max_payload,
-                &shutdown,
+                &conns.stopping,
                 &events,
                 writer_tx,
-                &counters,
+                &conn_counters,
             );
-            let _ = events.send(Event::Disconnect { conn });
+            conns.live.lock().expect("live sockets").remove(&conn);
+            // On shutdown the writer stays registered, so the dispatcher's
+            // drain still reaches it.
+            if !conns.stopping.load(Ordering::Acquire) {
+                let _ = events.send(Event::Disconnect { conn });
+            }
         })
     };
-    readers.lock().expect("reader list").push(reader);
+    conns.readers.lock().expect("reader list").push(reader);
     Ok(())
 }
 
 /// One connection's request pump: frames off the socket, decoded requests
 /// into the dispatcher's queue. Returns when the peer closes, the codec
-/// rejects a frame, or shutdown is signalled.
+/// rejects a frame, or shutdown closes the read half.
 fn read_loop(
     conn: u64,
     mut stream: TcpStream,
     max_payload: u32,
-    shutdown: &AtomicBool,
+    stopping: &AtomicBool,
     events: &mpsc::Sender<Event>,
     writer: mpsc::Sender<WriterMsg>,
     counters: &ConnCounters,
 ) {
-    let stop = || shutdown.load(Ordering::Acquire);
     loop {
-        match frame::read_frame(&mut stream, max_payload, &stop) {
+        let read = frame::read_frame(&mut stream, max_payload);
+        // Whatever a read returns once shutdown has begun (a frame cut
+        // short included) is a quiet close, not a protocol error.
+        if stopping.load(Ordering::Acquire) {
+            return;
+        }
+        let (code, message) = match read {
             Ok(ReadFrame::Frame(FrameKind::Request, payload)) => {
                 match super::codec::decode_request_payload(&payload) {
                     Ok((correlation, request)) => {
                         counters.requests.fetch_add(1, Ordering::Relaxed);
-                        if events
-                            .send(Event::Submit {
-                                conn,
-                                correlation,
-                                request,
-                            })
-                            .is_err()
-                        {
+                        let submit = Event::Submit {
+                            conn,
+                            correlation,
+                            request,
+                        };
+                        if events.send(submit).is_err() {
                             return;
                         }
+                        continue;
                     }
-                    Err(e) => {
-                        counters.protocol_errors.fetch_add(1, Ordering::Relaxed);
-                        let _ = writer.send(WriterMsg::Error {
-                            correlation: 0,
-                            code: e.code(),
-                            message: e.to_string(),
-                        });
-                        return;
-                    }
+                    Err(e) => (e.code(), e.to_string()),
                 }
             }
-            Ok(ReadFrame::Frame(_, _)) => {
-                // Outcome/error frames only flow server → client.
-                counters.protocol_errors.fetch_add(1, Ordering::Relaxed);
-                let _ = writer.send(WriterMsg::Error {
-                    correlation: 0,
-                    code: 108,
-                    message: "unexpected frame kind on a server connection".into(),
-                });
-                return;
-            }
-            Ok(ReadFrame::Eof) | Ok(ReadFrame::Stopped) => return,
-            Err(crate::Error::Frame(e)) => {
-                counters.protocol_errors.fetch_add(1, Ordering::Relaxed);
-                let _ = writer.send(WriterMsg::Error {
-                    correlation: 0,
-                    code: e.code(),
-                    message: e.to_string(),
-                });
-                return;
-            }
+            // Outcome/error frames only flow server → client.
+            Ok(ReadFrame::Frame(_, _)) => (
+                108,
+                "unexpected frame kind on a server connection".to_string(),
+            ),
+            Ok(ReadFrame::Eof) => return,
+            Err(crate::Error::Frame(e)) => (e.code(), e.to_string()),
             Err(_) => return, // socket error: the connection is gone
-        }
+        };
+        counters.protocol_errors.fetch_add(1, Ordering::Relaxed);
+        let _ = writer.send(WriterMsg::Error {
+            correlation: 0,
+            code,
+            message,
+        });
+        return;
     }
 }
 
@@ -406,51 +427,48 @@ fn write_loop(mut stream: TcpStream, queue: mpsc::Receiver<WriterMsg>, counters:
     let _ = stream.flush();
 }
 
-/// The dispatcher loop: the single owner of the [`ShardedRunner`],
-/// interleaving submissions with completion polls so responses stream back
-/// while later requests are still arriving. Returns the runner's final
+/// The dispatcher loop: the single owner of the [`ShardedRunner`]. It
+/// blocks on the event channel alone; after each event (a submission, or a
+/// worker's wake-up) it drains every finished outcome, so responses stream
+/// back while later requests are still arriving. Returns the runner's final
 /// stats (connection counters are attached by [`Server::shutdown`]).
 fn dispatch(mut runner: ShardedRunner, events: mpsc::Receiver<Event>) -> ServeStats {
     let mut writers: BTreeMap<u64, mpsc::Sender<WriterMsg>> = BTreeMap::new();
     // ticket → (connection, correlation): which socket each outcome goes
     // back out on, and as which client-side request.
     let mut routes: BTreeMap<u64, (u64, u64)> = BTreeMap::new();
-    loop {
-        let timeout = if runner.outstanding() > 0 {
-            Duration::from_millis(1)
-        } else {
-            POLL
-        };
-        match events.recv_timeout(timeout) {
-            Ok(Event::Connect { conn, writer }) => {
+    // The workers' wake-ups hold senders, so the channel never disconnects
+    // while the runner lives: only `Shutdown` ends this loop.
+    while let Ok(event) = events.recv() {
+        match event {
+            Event::Connect { conn, writer } => {
                 writers.insert(conn, writer);
             }
-            Ok(Event::Submit {
+            Event::Submit {
                 conn,
                 correlation,
                 request,
-            }) => {
+            } => {
                 let ticket = runner.submit(request);
                 routes.insert(ticket, (conn, correlation));
             }
-            Ok(Event::Disconnect { conn }) => {
+            Event::Disconnect { conn } => {
                 // Outcomes still in flight for this connection will find no
                 // writer and be dropped on delivery.
                 writers.remove(&conn);
             }
-            Err(RecvTimeoutError::Timeout) => {}
-            Err(RecvTimeoutError::Disconnected) => break,
+            Event::Completed => {}
+            Event::Shutdown => break,
         }
-        while let Some(out) = runner.try_collect_one(Duration::ZERO) {
+        while let Some(out) = runner.try_collect_one() {
             deliver(&writers, &mut routes, out);
         }
     }
     // Shutdown drain: every submitted request still completes and is
     // flushed to its connection's writer before the queues close.
-    while runner.outstanding() > 0 {
-        if let Some(out) = runner.try_collect_one(Duration::from_millis(50)) {
-            deliver(&writers, &mut routes, out);
-        }
+    let rest = runner.outstanding() as usize;
+    for out in runner.collect_streaming(rest) {
+        deliver(&writers, &mut routes, out);
     }
     runner.stats()
 }

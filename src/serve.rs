@@ -253,7 +253,7 @@ use rand_chacha::ChaCha8Rng;
 use std::collections::{BTreeMap, BTreeSet};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::mpsc::{channel, sync_channel, Receiver, SyncSender};
+use std::sync::mpsc::{channel, sync_channel, Receiver, Sender, SyncSender, TryRecvError};
 use std::sync::{Arc, RwLock};
 use std::thread::JoinHandle;
 
@@ -2179,6 +2179,49 @@ struct TenantState {
     shards: Vec<usize>,
 }
 
+/// What a worker posts on the runner's result channel.
+enum Arrival {
+    Outcome(SolveOutcome),
+    /// This shard's worker is unwinding from a panic: its queued tickets
+    /// will never arrive.
+    Died(usize),
+}
+
+/// Run on a worker thread after each [`Arrival`] it posts.
+pub(crate) type Wake = Arc<dyn Fn() + Send + Sync>;
+
+/// A worker's end of the result channel. It is also the worker's death
+/// notice: dropped while the worker unwinds from a panic, it posts
+/// [`Arrival::Died`], so a collector blocked in a plain `recv` panics
+/// naming the shard instead of waiting for tickets that cannot arrive.
+struct Post {
+    shard: usize,
+    results: Sender<Arrival>,
+    wake: Option<Wake>,
+}
+
+impl Post {
+    /// Posts one arrival, then runs the wake hook. `false` once the runner
+    /// is gone.
+    fn send(&self, arrival: Arrival) -> bool {
+        if self.results.send(arrival).is_err() {
+            return false;
+        }
+        if let Some(wake) = &self.wake {
+            wake();
+        }
+        true
+    }
+}
+
+impl Drop for Post {
+    fn drop(&mut self) {
+        if std::thread::panicking() {
+            self.send(Arrival::Died(self.shard));
+        }
+    }
+}
+
 /// The tenant-aware sharded serving runner. See the [module docs](self) for
 /// the architecture, the routing/admission semantics and the determinism
 /// contract.
@@ -2191,7 +2234,7 @@ pub struct ShardedRunner {
     // touch the registry; each job carries its resolved snapshot `Arc`.
     registry: Arc<ResidentRegistry>,
     senders: Vec<SyncSender<Job>>,
-    results: Receiver<SolveOutcome>,
+    results: Receiver<Arrival>,
     workers: Vec<(usize, JoinHandle<Workspace>)>,
     pool: WorkspacePool,
     // Raised at shutdown so workers drain their remaining queue without
@@ -2224,7 +2267,19 @@ impl ShardedRunner {
     pub fn with_pool(
         registry: Arc<ResidentRegistry>,
         config: &ServeConfig,
+        pool: WorkspacePool,
+    ) -> Self {
+        Self::spawn(registry, config, pool, None)
+    }
+
+    /// [`with_pool`](Self::with_pool) with a wake hook, for a caller that
+    /// blocks on a channel of its own and drains the runner with
+    /// [`try_collect_one`](Self::try_collect_one) when woken.
+    pub(crate) fn spawn(
+        registry: Arc<ResidentRegistry>,
+        config: &ServeConfig,
         mut pool: WorkspacePool,
+        wake: Option<Wake>,
     ) -> Self {
         let shards = config.shards.max(1);
         pool.ensure_shards(shards);
@@ -2235,7 +2290,11 @@ impl ShardedRunner {
         for shard in 0..shards {
             let (tx, rx) = sync_channel::<Job>(config.queue_depth.max(1));
             let ws = pool.checkout(shard);
-            let result_tx = result_tx.clone();
+            let post = Post {
+                shard,
+                results: result_tx.clone(),
+                wake: wake.clone(),
+            };
             let cancel = Arc::clone(&cancel);
             let handle = pram::pool::spawn_worker(
                 format!("serve-shard-{shard}"),
@@ -2259,7 +2318,7 @@ impl ShardedRunner {
                         let mut out = execute_resolved(&request, resolved, runner.workspace_mut());
                         out.ticket = ticket;
                         out.shard = shard;
-                        if result_tx.send(out).is_err() {
+                        if !post.send(Arrival::Outcome(out)) {
                             break;
                         }
                     }
@@ -2409,34 +2468,27 @@ impl ShardedRunner {
         self.next_ticket - self.delivered_total
     }
 
-    /// Blocks for the next arrival from any shard, with worker-liveness
-    /// checks: a plain blocking recv would hang forever if *one* worker of
-    /// several died (the survivors keep the channel open but the dead
-    /// shard's tickets never arrive), so wait in slices and check worker
-    /// liveness on every timeout — during serving no worker thread finishes
-    /// except by panicking.
+    /// Blocks for the next arrival from any shard. A worker that dies posts
+    /// its death notice on the same channel (see [`Post`]), so a plain
+    /// `recv` cannot hang on a dead shard's tickets.
     fn recv_one(&mut self) -> SolveOutcome {
-        let out = loop {
-            match self
-                .results
-                .recv_timeout(std::time::Duration::from_millis(50))
-            {
-                Ok(out) => break out,
-                Err(std::sync::mpsc::RecvTimeoutError::Timeout) => {
-                    if let Some((shard, _)) = self.workers.iter().find(|(_, h)| h.is_finished()) {
-                        panic!(
-                            "serve: worker shard {shard} died with {} outcomes outstanding",
-                            self.outstanding()
-                        );
-                    }
-                }
-                Err(std::sync::mpsc::RecvTimeoutError::Disconnected) => {
-                    panic!("serve: all workers disconnected with outcomes outstanding")
-                }
+        self.arrived(self.results.recv().ok())
+    }
+
+    /// Unpacks one message off the result channel: an outcome, or a panic
+    /// naming the shard whose worker died.
+    fn arrived(&mut self, arrival: Option<Arrival>) -> SolveOutcome {
+        match arrival {
+            Some(Arrival::Outcome(out)) => {
+                self.in_queue[out.shard] = self.in_queue[out.shard].saturating_sub(1);
+                out
             }
-        };
-        self.in_queue[out.shard] = self.in_queue[out.shard].saturating_sub(1);
-        out
+            Some(Arrival::Died(shard)) => panic!(
+                "serve: worker shard {shard} died with {} outcomes outstanding",
+                self.outstanding()
+            ),
+            None => panic!("serve: all workers disconnected with outcomes outstanding"),
+        }
     }
 
     /// Per-delivery bookkeeping shared by both collection modes.
@@ -2534,40 +2586,34 @@ impl ShardedRunner {
     }
 
     /// Non-blocking flavour of streaming collection: yields the next
-    /// completed outcome if one is buffered or arrives within `timeout`,
-    /// `None` otherwise (including when nothing is outstanding). Delivered
-    /// tickets are recorded exactly like
+    /// completed outcome if one is buffered or has already arrived, `None`
+    /// otherwise (including when nothing is outstanding). Delivered tickets
+    /// are recorded exactly like
     /// [`collect_streaming`](Self::collect_streaming), so the two modes and
     /// [`collect_ordered`](Self::collect_ordered) interoperate on one
-    /// runner. This is the poll the [`net`](crate::net) dispatcher
-    /// interleaves with submissions, so decoded requests keep flowing into
-    /// the shards while earlier responses stream back out.
+    /// runner. The [`net`](crate::net) dispatcher drains the runner with it
+    /// after every event it handles, worker completions included.
     ///
     /// # Panics
     /// Panics if a worker died with outcomes outstanding.
-    pub fn try_collect_one(&mut self, timeout: std::time::Duration) -> Option<SolveOutcome> {
+    pub fn try_collect_one(&mut self) -> Option<SolveOutcome> {
         if self.outstanding() == 0 {
             return None;
         }
+        self.stream_one(false)
+    }
+
+    /// The next outcome in arrival order, for both streaming collections:
+    /// buffered outcomes first (lowest ticket first: admission denials and
+    /// anything an earlier collect already pulled off the channel), then the
+    /// result channel, waited on only if `wait`.
+    fn stream_one(&mut self, wait: bool) -> Option<SolveOutcome> {
         let out = match self.pending.pop_first() {
             Some((_, out)) => out,
-            None => match self.results.recv_timeout(timeout) {
-                Ok(out) => {
-                    self.in_queue[out.shard] = self.in_queue[out.shard].saturating_sub(1);
-                    out
-                }
-                Err(std::sync::mpsc::RecvTimeoutError::Timeout) => {
-                    if let Some((shard, _)) = self.workers.iter().find(|(_, h)| h.is_finished()) {
-                        panic!(
-                            "serve: worker shard {shard} died with {} outcomes outstanding",
-                            self.outstanding()
-                        );
-                    }
-                    return None;
-                }
-                Err(std::sync::mpsc::RecvTimeoutError::Disconnected) => {
-                    panic!("serve: all workers disconnected with outcomes outstanding")
-                }
+            None if wait => self.recv_one(),
+            None => match self.results.try_recv() {
+                Err(TryRecvError::Empty) => return None,
+                arrival => self.arrived(arrival.ok()),
             },
         };
         self.mark_streamed(out.ticket);
@@ -2681,15 +2727,7 @@ impl Iterator for StreamingCollect<'_> {
             return None;
         }
         self.remaining -= 1;
-        // Buffered outcomes first (lowest ticket first): admission denials
-        // and anything an earlier collect already pulled off the channel.
-        let out = match self.runner.pending.pop_first() {
-            Some((_, out)) => out,
-            None => self.runner.recv_one(),
-        };
-        self.runner.mark_streamed(out.ticket);
-        self.runner.note_delivery(&out);
-        Some(out)
+        self.runner.stream_one(true)
     }
 
     fn size_hint(&self) -> (usize, Option<usize>) {

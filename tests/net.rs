@@ -22,7 +22,9 @@ use rand_chacha::ChaCha8Rng;
 use std::collections::{BTreeMap, BTreeSet};
 use std::io::{Read, Write};
 use std::net::TcpStream;
-use std::sync::Arc;
+use std::panic::AssertUnwindSafe;
+use std::sync::{mpsc, Arc};
+use std::time::Duration;
 
 fn rng(seed: u64) -> ChaCha8Rng {
     ChaCha8Rng::seed_from_u64(seed)
@@ -659,4 +661,105 @@ fn replies_route_to_the_connection_that_asked() {
         stats.connections.iter().map(|c| c.responses).sum::<u64>(),
         requests.len() as u64
     );
+}
+
+// ---------------------------------------------------------------------------
+// Shutdown wakes blocked threads.
+
+/// Shutdown wakes readers blocked on their sockets: one connection idle
+/// between requests, another stopped halfway through a request header.
+/// `shutdown` returns, and the frame it cuts short is a quiet close, not a
+/// protocol error.
+#[test]
+fn shutdown_wakes_idle_and_half_sent_connections() {
+    let (registry, a, b) = registry();
+    let requests = mixed_requests(a, b, 2);
+    let server = Server::bind("127.0.0.1:0", Arc::clone(&registry), &loopback_config(1))
+        .expect("bind loopback");
+    // A round trip on each connection proves the server accepted both.
+    let mut idle = Client::connect(server.local_addr()).expect("connect idle");
+    idle.submit(&requests[0]).expect("submit");
+    idle.recv().expect("recv");
+    let mut half = TcpStream::connect(server.local_addr()).expect("connect half");
+    half.write_all(&encode_request_frame(0, &requests[1]))
+        .expect("send request");
+    assert_eq!(read_raw_frame(&mut half).0, FrameKind::Outcome);
+    let next = encode_request_frame(1, &requests[1]);
+    // On loopback the bytes are in the server's receive queue once the
+    // write returns, and closing the read half does not discard them: the
+    // reader sees this frame cut short whether or not it has woken yet.
+    half.write_all(&next[..HEADER_LEN / 2])
+        .expect("send half a header");
+
+    let stats = server.shutdown();
+    assert_eq!(stats.connections.len(), 2);
+    for conn in &stats.connections {
+        assert_eq!(conn.requests, 1, "{conn:?}");
+        assert_eq!(conn.responses, 1, "{conn:?}");
+        assert_eq!(conn.protocol_errors, 0, "{conn:?}");
+    }
+    // Both connections were closed without an error frame.
+    assert!(idle.recv().is_err());
+    let mut rest = Vec::new();
+    half.read_to_end(&mut rest).expect("read to close");
+    assert!(rest.is_empty());
+}
+
+/// A wire request that kills a worker shard (BL on an edge of size 24,
+/// beyond its enumerable dimension) makes `Server::shutdown` panic. The
+/// shutdown runs on a watchdog thread, so a hang fails the test instead of
+/// stalling it.
+#[test]
+fn dead_worker_makes_shutdown_panic_instead_of_hanging() {
+    let (registry, a, _b) = registry();
+    let server = Server::bind("127.0.0.1:0", Arc::clone(&registry), &loopback_config(2))
+        .expect("bind loopback");
+    let oversized = Arc::new(hypergraph::builder::hypergraph_from_edges(
+        30,
+        vec![(0u32..24).collect::<Vec<_>>()],
+    ));
+    let killer = SolveRequest::adhoc(oversized)
+        .algorithm(Algorithm::Bl(BlConfig::default()))
+        .seed(1)
+        .build();
+    let probe = SolveRequest::for_graph(a)
+        .algorithm(Algorithm::Greedy)
+        .seed(2)
+        .build();
+    let mut raw = TcpStream::connect(server.local_addr()).expect("connect");
+    raw.write_all(&encode_request_frame(0, &killer))
+        .expect("send the killer");
+    // One connection's requests are submitted in order, so a reply to a
+    // later probe, or the connection closing because the dispatcher died,
+    // proves the killer reached the runner. Probe until one happens (for at
+    // most about a minute; the watchdog below then reports the outcome).
+    raw.set_read_timeout(Some(Duration::from_millis(20)))
+        .expect("read timeout");
+    for correlation in 1..3000 {
+        if raw
+            .write_all(&encode_request_frame(correlation, &probe))
+            .is_err()
+        {
+            break;
+        }
+        match raw.read(&mut [0u8; 1]) {
+            Err(e)
+                if matches!(
+                    e.kind(),
+                    std::io::ErrorKind::WouldBlock | std::io::ErrorKind::TimedOut
+                ) => {}
+            _ => break, // a reply byte, EOF or a reset
+        }
+    }
+
+    let (done_tx, done_rx) = mpsc::channel();
+    let watchdog = std::thread::spawn(move || {
+        let panicked = std::panic::catch_unwind(AssertUnwindSafe(|| server.shutdown())).is_err();
+        let _ = done_tx.send(panicked);
+    });
+    let panicked = done_rx
+        .recv_timeout(Duration::from_secs(60))
+        .expect("Server::shutdown hung after a worker died");
+    watchdog.join().expect("the watchdog catches the panic");
+    assert!(panicked, "Server::shutdown returned after a worker died");
 }
