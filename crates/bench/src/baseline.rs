@@ -1,8 +1,10 @@
 //! The bench-regression gate: parse the `BENCH_*.json` artifacts and compare
 //! a fresh run against a committed baseline.
 //!
-//! The `experiments` bin emits three JSON artifacts (`BENCH_activeset.json`,
-//! `BENCH_batch.json`, `BENCH_serve.json`). Committed copies live in
+//! The `experiments` bin emits five JSON artifacts (`BENCH_activeset.json`,
+//! `BENCH_batch.json`, `BENCH_serve.json`, `BENCH_coldstart.json`,
+//! `BENCH_net.json`), each built as a [`Json`] value and serialised by
+//! [`Json::to_pretty`]. Committed copies live in
 //! `bench/baselines/`; CI re-runs the guards and then invokes
 //! `experiments --check-against bench/baselines`, which routes through
 //! [`check_against`] per artifact. The gate fails the job on
@@ -25,12 +27,12 @@
 //! fields carry the regression teeth, the banded fields catch catastrophic
 //! slowdowns.
 //!
-//! The vendored `serde` has no JSON parser, so this module carries a minimal
-//! recursive-descent one — sufficient for the artifacts we emit and strict
-//! enough to reject malformed files loudly.
+//! The vendored `serde` has no JSON support, so this module carries a minimal
+//! writer and recursive-descent parser over one value type — sufficient for
+//! the artifacts we emit and strict enough to reject malformed files loudly.
 
-/// A parsed JSON value (numbers are kept as `f64`; the artifacts only emit
-/// integers small enough to round-trip exactly).
+/// A JSON value, as the guards build it and the gate parses it (numbers are
+/// kept as `f64`; integers convert only up to 2^53, where `f64` is exact).
 #[derive(Debug, Clone, PartialEq)]
 pub enum Json {
     /// `null`
@@ -43,7 +45,7 @@ pub enum Json {
     Str(String),
     /// An array
     Arr(Vec<Json>),
-    /// An object, in source order (duplicate keys rejected at parse)
+    /// An object, in source order (duplicate keys refused by parser and writer)
     Obj(Vec<(String, Json)>),
 }
 
@@ -58,6 +60,26 @@ impl Json {
             return Err(format!("trailing content at byte {pos}"));
         }
         Ok(v)
+    }
+
+    /// An object with `members` in order: the constructor the guards build
+    /// their artifacts with.
+    pub fn obj<'a>(members: impl IntoIterator<Item = (&'a str, Json)>) -> Json {
+        Json::Obj(
+            members
+                .into_iter()
+                .map(|(k, v)| (k.to_string(), v))
+                .collect(),
+        )
+    }
+
+    /// Serialises the value as artifact text that [`Json::parse`] reads back
+    /// to an equal value. A container holding only scalars goes on one line;
+    /// any other container puts each member on its own line, indented by two
+    /// spaces. A non-finite number or a duplicate key is refused, naming its
+    /// path, since the parser would reject the file.
+    pub fn to_pretty(&self) -> Result<String, String> {
+        Ok(render(self, "$", 0)? + "\n")
     }
 
     /// Object member lookup.
@@ -75,6 +97,103 @@ impl Json {
             _ => None,
         }
     }
+}
+
+impl From<bool> for Json {
+    fn from(b: bool) -> Json {
+        Json::Bool(b)
+    }
+}
+
+impl From<f64> for Json {
+    fn from(x: f64) -> Json {
+        Json::Num(x)
+    }
+}
+
+impl From<u64> for Json {
+    fn from(x: u64) -> Json {
+        assert!(x <= 1 << 53, "{x} has no exact f64 JSON number");
+        Json::Num(x as f64)
+    }
+}
+
+impl From<usize> for Json {
+    fn from(x: usize) -> Json {
+        Json::from(x as u64)
+    }
+}
+
+impl From<&str> for Json {
+    fn from(s: &str) -> Json {
+        Json::Str(s.to_string())
+    }
+}
+
+impl From<String> for Json {
+    fn from(s: String) -> Json {
+        Json::Str(s)
+    }
+}
+
+impl From<Vec<Json>> for Json {
+    fn from(items: Vec<Json>) -> Json {
+        Json::Arr(items)
+    }
+}
+
+fn render(v: &Json, path: &str, indent: usize) -> Result<String, String> {
+    let (brackets, members): ([char; 2], Vec<(Option<&str>, &Json)>) = match v {
+        Json::Null => return Ok("null".into()),
+        Json::Bool(b) => return Ok(b.to_string()),
+        // `Display` prints the shortest decimal that parses back to `x`.
+        Json::Num(x) if x.is_finite() => return Ok(x.to_string()),
+        Json::Num(x) => return Err(format!("{path}: non-finite number {x}")),
+        Json::Str(s) => return Ok(quoted(s)),
+        Json::Arr(items) => (['[', ']'], items.iter().map(|v| (None, v)).collect()),
+        Json::Obj(members) => (
+            ['{', '}'],
+            members.iter().map(|(k, v)| (Some(k.as_str()), v)).collect(),
+        ),
+    };
+    let mut parts = Vec::new();
+    for (i, &(key, item)) in members.iter().enumerate() {
+        let (label, child) = match key {
+            Some(k) if members[..i].iter().any(|&(seen, _)| seen == key) => {
+                return Err(format!("{path}.{k}: duplicate key"));
+            }
+            Some(k) => (format!("{}: ", quoted(k)), format!("{path}.{k}")),
+            None => (String::new(), format!("{path}[{i}]")),
+        };
+        parts.push(label + &render(item, &child, indent + 1)?);
+    }
+    let [open, close] = brackets;
+    if members
+        .iter()
+        .any(|(_, v)| matches!(v, Json::Arr(_) | Json::Obj(_)))
+    {
+        let pad = "  ".repeat(indent + 1);
+        let body = parts.join(&format!(",\n{pad}"));
+        Ok(format!(
+            "{open}\n{pad}{body}\n{}{close}",
+            "  ".repeat(indent)
+        ))
+    } else {
+        Ok(format!("{open}{}{close}", parts.join(", ")))
+    }
+}
+
+/// `s` as a JSON string literal.
+fn quoted(s: &str) -> String {
+    let mut out = String::from("\"");
+    for c in s.chars() {
+        match c {
+            '"' | '\\' => out.extend(['\\', c]),
+            c if c < ' ' => out.push_str(&format!("\\u{:04x}", c as u32)),
+            c => out.push(c),
+        }
+    }
+    out + "\""
 }
 
 fn skip_ws(b: &[u8], pos: &mut usize) {
@@ -219,18 +338,6 @@ fn parse_number(b: &[u8], pos: &mut usize) -> Result<Json, String> {
     text.parse::<f64>()
         .map(Json::Num)
         .map_err(|_| format!("bad number {text:?} at byte {start}"))
-}
-
-/// FNV-1a over a byte string — the stable 64-bit hash behind the
-/// `outcome_fingerprint` fields the artifacts carry (platform- and
-/// run-independent for deterministic inputs, unlike `DefaultHasher`).
-pub fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut h = 0xCBF2_9CE4_8422_2325u64;
-    for &b in bytes {
-        h ^= b as u64;
-        h = h.wrapping_mul(0x0000_0100_0000_01B3);
-    }
-    h
 }
 
 /// The outcome of one [`check_against`] comparison.
@@ -438,11 +545,26 @@ mod tests {
         };
         assert_eq!(wl.get("n").and_then(Json::as_f64), Some(262144.0));
         assert_eq!(wl.get("outcomes_identical"), Some(&Json::Bool(true)));
+        // The writer's output parses back to the same value, escapes included.
+        assert_eq!(Json::parse(&v.to_pretty().unwrap()).unwrap(), v);
+        let text = Json::obj([("s", "q\"\\\n\u{1}é".into()), ("e", Json::obj([]))]);
+        assert_eq!(Json::parse(&text.to_pretty().unwrap()).unwrap(), text);
         // Escapes and rejects.
         assert_eq!(Json::parse(r#""a\nA""#).unwrap(), Json::Str("a\nA".into()));
         assert!(Json::parse("{\"a\": 1,}").is_err());
         assert!(Json::parse("{\"a\": 1} x").is_err());
         assert!(Json::parse("{\"a\": 1, \"a\": 2}").is_err());
+    }
+
+    #[test]
+    fn writer_refuses_what_the_parser_cannot_read() {
+        for x in [f64::INFINITY, f64::NAN] {
+            let doc = Json::obj([("workloads", vec![Json::obj([("ms", x.into())])].into())]);
+            let err = doc.to_pretty().unwrap_err();
+            assert!(err.contains("$.workloads[0].ms"), "{err}");
+        }
+        let dup = Json::obj([("n", 1usize.into()), ("n", 2usize.into())]);
+        assert!(dup.to_pretty().unwrap_err().contains("$.n: duplicate key"));
     }
 
     #[test]
@@ -604,6 +726,7 @@ mod tests {
 
     #[test]
     fn fnv1a_is_stable() {
+        use hypergraph::io::fnv1a;
         // Pinned values: the fingerprint fields in committed baselines
         // depend on this hash never changing.
         assert_eq!(fnv1a(b""), 0xCBF2_9CE4_8422_2325);

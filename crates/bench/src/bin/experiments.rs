@@ -1,6 +1,7 @@
-//! The experiment harness: regenerates every experiment listed in DESIGN.md §4
-//! and EXPERIMENTS.md, printing markdown tables that can be pasted into
-//! EXPERIMENTS.md verbatim.
+//! The experiment harness: runs E1–E10, the experiments behind the paper's
+//! claims (see `PAPER.md`; `ROADMAP.md` says which claim each checks), and
+//! the guards whose artifacts the CI bench-regression gate reads, printing
+//! markdown tables.
 //!
 //! Usage:
 //!
@@ -15,20 +16,48 @@
 //! cargo run --release -p bench --bin experiments -- \
 //!     --check-against bench/baselines [--tolerance 0.5] [activeset batch serve coldstart net]
 //! ```
+//!
+//! An unknown tag, or a gate run that compares no values, exits non-zero.
 
+use bench::baseline::Json;
 use bench::{linear_workload, markdown_table, paper_workload, rng_for, uniform_workload};
 use concentration::chernoff;
 use concentration::kimvu;
 use concentration::potential::{Potential, Recurrence};
 use hypergraph::degree::DegreeTable;
+use hypergraph::io::fnv1a;
 use hypergraph::params::SblParams;
 use hypergraph::{ActiveHypergraph, HypergraphStats};
 use hypergraph_mis::batch::BatchRunner;
 use mis_core::prelude::*;
 use pram::cost::CostTracker;
 use pram::pool::with_threads;
-use std::fmt::Write as _;
 use std::time::Instant;
+
+/// One runnable experiment: its command-line tag, its entry point (given
+/// the `--quick` flag), and whether it is a guard, one that writes
+/// `BENCH_{tag}.json` for the bench-regression gate.
+type Experiment = (&'static str, fn(bool), bool);
+
+/// Every experiment, in run order. The dispatcher, the tag check and the
+/// gate all read this table.
+const EXPERIMENTS: [Experiment; 15] = [
+    ("e1", e1_sbl_scaling, false),
+    ("e2", e2_bl_stages, false),
+    ("e3", e3_event_b, false),
+    ("e4", e4_event_a, false),
+    ("e5", e5_shootout, false),
+    ("e6", e6_migration, false),
+    ("e7", e7_potential_decay, false),
+    ("e8", e8_threads, false),
+    ("e9", e9_special_classes, false),
+    ("e10", e10_admissibility, false),
+    ("activeset", activeset_engine_guard, true),
+    ("batch", batch_runner_experiment, true),
+    ("serve", serve_experiment, true),
+    ("coldstart", coldstart_experiment, true),
+    ("net", net_experiment, true),
+];
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
@@ -54,8 +83,16 @@ fn main() {
             _ => selected.push(arg),
         }
     }
-    let want =
-        |tag: &str| selected.is_empty() || selected.iter().any(|s| s.eq_ignore_ascii_case(tag));
+    let tag_eq = |tag: &str, s: &str| tag.eq_ignore_ascii_case(s);
+    if let Some(bad) = selected
+        .iter()
+        .find(|s| !EXPERIMENTS.iter().any(|e| tag_eq(e.0, s)))
+    {
+        let tags = EXPERIMENTS.map(|e| e.0).join(" ");
+        eprintln!("unknown experiment tag `{bad}`; known tags: {tags}");
+        std::process::exit(2);
+    }
+    let want = |tag: &str| selected.is_empty() || selected.iter().any(|s| tag_eq(tag, s));
 
     // Every run states which SIMD paths are live, so a pasted table or a CI
     // log is never ambiguous about what actually executed.
@@ -71,89 +108,47 @@ fn main() {
         run_bench_regression_gate(&dir, tolerance, &want);
         return;
     }
-
-    if want("e1") {
-        e1_sbl_scaling(quick);
-    }
-    if want("e2") {
-        e2_bl_stages(quick);
-    }
-    if want("e3") {
-        e3_event_b(quick);
-    }
-    if want("e4") {
-        e4_event_a(quick);
-    }
-    if want("e5") {
-        e5_shootout(quick);
-    }
-    if want("e6") {
-        e6_migration(quick);
-    }
-    if want("e7") {
-        e7_potential_decay(quick);
-    }
-    if want("e8") {
-        e8_threads(quick);
-    }
-    if want("e9") {
-        e9_special_classes(quick);
-    }
-    if want("e10") {
-        e10_admissibility();
-    }
-    #[cfg(feature = "reference-engine")]
-    if want("activeset") {
-        activeset_engine_guard(quick);
-    }
-    #[cfg(not(feature = "reference-engine"))]
-    if want("activeset") {
-        println!("activeset: skipped (requires the `reference-engine` feature)");
-    }
-    if want("batch") {
-        batch_runner_experiment(quick);
-    }
-    if want("serve") {
-        serve_experiment(quick);
-    }
-    if want("coldstart") {
-        coldstart_experiment(quick);
-    }
-    if want("net") {
-        net_experiment(quick);
+    for &(_, run, _) in EXPERIMENTS.iter().filter(|e| want(e.0)) {
+        run(quick);
     }
 }
 
 /// The CI bench-regression gate (`--check-against <dir>`): compares each
-/// freshly emitted `BENCH_*.json` in the working directory against the
-/// committed copy in `<dir>`, with a tolerance band on wall times and
-/// speedups and exact matching on deterministic fields (see
-/// [`bench::baseline`]). Exits non-zero on the first artifact set with
-/// failures, so CI fails on wall-time regressions or fingerprint mismatches.
+/// selected guard's freshly emitted `BENCH_*.json` in the working directory
+/// against the committed copy in `<dir>`, with a tolerance band on wall
+/// times and speedups and exact matching on deterministic fields (see
+/// [`bench::baseline`]). Exits non-zero on any failure, including a missing
+/// or unparseable artifact, and when it compared no values at all.
 fn run_bench_regression_gate(dir: &str, tolerance: f64, want: &impl Fn(&str) -> bool) {
     println!("## bench-regression gate: fresh BENCH_*.json vs {dir} (tolerance {tolerance})\n");
     let mut compared = 0usize;
     let mut failures: Vec<String> = Vec::new();
-    for tag in ["activeset", "batch", "serve", "coldstart", "net"] {
-        if !want(tag) {
-            continue;
-        }
+    for &(tag, _, _) in EXPERIMENTS.iter().filter(|e| e.2 && want(e.0)) {
         let file = format!("BENCH_{tag}.json");
         let baseline_path = std::path::Path::new(dir).join(&file);
-        let fresh = std::fs::read_to_string(&file).unwrap_or_else(|e| {
-            panic!("missing fresh artifact {file} (run the guards first): {e}")
-        });
-        let baseline = std::fs::read_to_string(&baseline_path)
-            .unwrap_or_else(|e| panic!("missing baseline {}: {e}", baseline_path.display()));
-        let report = bench::baseline::check_against(&fresh, &baseline, tolerance)
-            .unwrap_or_else(|e| panic!("{file}: {e}"));
-        println!(
-            "{file}: {} values gated, {} failure(s)",
-            report.compared,
-            report.failures.len()
-        );
-        compared += report.compared;
-        failures.extend(report.failures.into_iter().map(|f| format!("{file} {f}")));
+        let report = std::fs::read_to_string(&file)
+            .map_err(|err| format!("missing fresh artifact (run the guards first): {err}"))
+            .and_then(|fresh| {
+                let baseline = std::fs::read_to_string(&baseline_path).map_err(|err| {
+                    format!("missing baseline {}: {err}", baseline_path.display())
+                })?;
+                bench::baseline::check_against(&fresh, &baseline, tolerance)
+            });
+        match report {
+            Ok(report) => {
+                println!(
+                    "{file}: {} values gated, {} failure(s)",
+                    report.compared,
+                    report.failures.len()
+                );
+                compared += report.compared;
+                failures.extend(report.failures.into_iter().map(|f| format!("{file} {f}")));
+            }
+            Err(err) => failures.push(format!("{file}: {err}")),
+        }
+    }
+    if compared == 0 {
+        failures.push("no values compared (select at least one guard tag)".into());
     }
     if !failures.is_empty() {
         eprintln!("\nbench-regression gate FAILED:");
@@ -163,6 +158,74 @@ fn run_bench_regression_gate(dir: &str, tolerance: f64, want: &impl Fn(&str) -> 
         std::process::exit(1);
     }
     println!("\nbench-regression gate passed ({compared} values within policy)");
+}
+
+/// Writes a guard's artifact to `BENCH_{tag}.json` in the working directory,
+/// the file the bench-regression gate reads.
+fn write_artifact(tag: &str, doc: &Json) {
+    let file = format!("BENCH_{tag}.json");
+    let text = doc.to_pretty().unwrap_or_else(|e| panic!("{file}: {e}"));
+    std::fs::write(&file, text).unwrap_or_else(|e| panic!("write {file}: {e}"));
+    println!("wrote {file}\n");
+}
+
+/// `x` rounded to `places` decimals, so an artifact carries no more digits
+/// than the measurement resolves.
+fn round(x: f64, places: i32) -> Json {
+    let scale = 10f64.powi(places);
+    Json::from((x * scale).round() / scale)
+}
+
+/// The serving configuration every guard runs: `shards` single-threaded
+/// shards with 64-deep queues.
+fn serve_config(shards: usize) -> hypergraph_mis::serve::ServeConfig {
+    hypergraph_mis::serve::ServeConfig {
+        shards,
+        queue_depth: 64,
+        threads_per_shard: Some(1),
+        ..Default::default()
+    }
+}
+
+/// Runs `f` `iters` times and returns its fastest wall time in ms with the
+/// first run's result (every run computes the same deterministic result).
+fn best_of<T>(iters: usize, mut f: impl FnMut() -> T) -> (f64, T) {
+    let mut best = f64::INFINITY;
+    let mut first = None;
+    for _ in 0..iters {
+        let t0 = Instant::now();
+        // `black_box` keeps every run's work live, not just the first's.
+        let out = std::hint::black_box(f());
+        best = best.min(t0.elapsed().as_secs_f64() * 1e3);
+        first.get_or_insert(out);
+    }
+    (best, first.expect("iters >= 1"))
+}
+
+/// Runs `f` on `marked` with exactly the vertices of `q` set, then clears
+/// them again.
+fn with_marked<T>(marked: &mut [bool], q: &[u32], f: impl FnOnce(&[bool]) -> T) -> T {
+    for &v in q {
+        marked[v as usize] = true;
+    }
+    let out = f(marked);
+    for &v in q {
+        marked[v as usize] = false;
+    }
+    out
+}
+
+/// The sorted `size`-vertex query a seeded partial Fisher–Yates shuffle
+/// draws from `0..n`.
+fn random_query(rng: &mut impl rand::Rng, n: usize, size: usize) -> Vec<u32> {
+    let mut q: Vec<u32> = (0..n as u32).collect();
+    for k in 0..size {
+        let j = rng.gen_range(k..n);
+        q.swap(k, j);
+    }
+    q.truncate(size);
+    q.sort_unstable();
+    q
 }
 
 /// The sharded-serving experiment: the PR-3 batch workloads (induced query
@@ -201,17 +264,9 @@ fn serve_experiment(quick: bool) {
     for n in [16384usize, 65536, 262144] {
         let mut registry = ResidentRegistry::new();
         let resident = registry.register(uniform_workload(n, 3, 0xBA7C));
-        let qsize = 512;
         let requests: Vec<SolveRequest> = (0..instances)
             .map(|i| {
-                let mut rng = rng_for(0xBA7C_1000 + (n + i) as u64);
-                let mut q: Vec<u32> = (0..n as u32).collect();
-                for k in 0..qsize {
-                    let j = rand::Rng::gen_range(&mut rng, k..n);
-                    q.swap(k, j);
-                }
-                q.truncate(qsize);
-                q.sort_unstable();
+                let q = random_query(&mut rng_for(0xBA7C_1000 + (n + i) as u64), n, 512);
                 SolveRequest::induced(resident, q)
                     .algorithm(Algorithm::Bl(BlConfig::default()))
                     .seed(0xBA7C_2000 + (n * 131 + i) as u64)
@@ -237,30 +292,18 @@ fn serve_experiment(quick: bool) {
 
     for (kind, n, registry, requests) in &workloads {
         // Sequential baseline: one BatchRunner, no threads, no queues.
-        let mut best_seq = f64::INFINITY;
-        let mut reference: Vec<SolveFingerprint> = Vec::new();
-        for it in 0..iters {
+        let (best_seq, reference) = best_of(iters, || -> Vec<SolveFingerprint> {
             let mut runner = BatchRunner::new();
-            let t0 = Instant::now();
-            let outs: Vec<SolveFingerprint> = requests
+            requests
                 .iter()
                 .map(|r| runner.solve(registry, r).fingerprint())
-                .collect();
-            best_seq = best_seq.min(t0.elapsed().as_secs_f64() * 1e3);
-            if it == 0 {
-                reference = outs;
-            }
-        }
+                .collect()
+        });
 
-        let mut shard_summaries = Vec::new();
-        let mut ms_by_shards: Vec<(usize, f64)> = Vec::new();
+        let mut shard_entries = Vec::new();
+        let mut ms_by_shards: Vec<f64> = Vec::new();
         for &shards in &shard_counts {
-            let config = ServeConfig {
-                shards,
-                queue_depth: 64,
-                threads_per_shard: Some(1),
-                ..ServeConfig::default()
-            };
+            let config = serve_config(shards);
             let mut best = f64::INFINITY;
             for it in 0..iters {
                 let mut runner = ShardedRunner::new(Arc::clone(registry), &config);
@@ -278,13 +321,15 @@ fn serve_experiment(quick: bool) {
                     }
                 }
             }
-            ms_by_shards.push((shards, best));
+            ms_by_shards.push(best);
             let speedup = best_seq / best;
             let throughput = instances as f64 / (best / 1e3);
-            shard_summaries.push(format!(
-                "{{\"shards\": {shards}, \"ms\": {best:.4}, \"speedup_vs_sequential\": \
-                 {speedup:.3}, \"throughput_per_s\": {throughput:.1}}}"
-            ));
+            shard_entries.push(Json::obj([
+                ("shards", shards.into()),
+                ("ms", round(best, 4)),
+                ("speedup_vs_sequential", round(speedup, 3)),
+                ("throughput_per_s", round(throughput, 1)),
+            ]));
             rows.push(vec![
                 kind.to_string(),
                 n.to_string(),
@@ -296,35 +341,22 @@ fn serve_experiment(quick: bool) {
             ]);
         }
         // Aggregate-throughput scaling of the shard sweep itself: 8 shards
-        // vs 1 shard (both through the serve layer, so queueing overhead is
-        // on both sides of the ratio).
-        let ms1 = ms_by_shards
-            .iter()
-            .find(|&&(s, _)| s == 1)
-            .expect("1-shard run")
-            .1;
-        let ms8 = ms_by_shards
-            .iter()
-            .find(|&&(s, _)| s == 8)
-            .expect("8-shard run")
-            .1;
+        // vs 1 shard, the ends of `shard_counts` (both through the serve
+        // layer, so queueing overhead is on both sides of the ratio).
+        let speedup_8v1 = ms_by_shards[0] / ms_by_shards[shard_counts.len() - 1];
         if *kind == "query" {
-            largest = Some((*n, ms1 / ms8));
+            largest = Some((*n, speedup_8v1));
         }
-        entries.push(format!(
-            concat!(
-                "    {{\"kind\": \"{}\", \"n\": {}, \"instances\": {}, ",
-                "\"sequential_ms\": {:.4}, \"outcomes_identical\": true, ",
-                "\"outcome_fingerprint\": \"{}\", \"speedup_8v1\": {:.3}, \"shards\": [{}]}}"
-            ),
-            kind,
-            n,
-            instances,
-            best_seq,
-            fingerprint_hex(&reference),
-            ms1 / ms8,
-            shard_summaries.join(", "),
-        ));
+        entries.push(Json::obj([
+            ("kind", (*kind).into()),
+            ("n", (*n).into()),
+            ("instances", instances.into()),
+            ("sequential_ms", round(best_seq, 4)),
+            ("outcomes_identical", true.into()),
+            ("outcome_fingerprint", fingerprint(&reference)),
+            ("speedup_8v1", round(speedup_8v1, 3)),
+            ("shards", shard_entries.into()),
+        ]));
     }
 
     // --- Tenant mix: an interleaved tenant-tagged query stream at 4 shards
@@ -342,15 +374,7 @@ fn serve_experiment(quick: bool) {
         let resident = registry.register(uniform_workload(mix_n, 3, 0x7E4A));
         let requests: Vec<SolveRequest> = (0..mix_total)
             .map(|i| {
-                let mut rng = rng_for(0x7E4A_1000 + i as u64);
-                let qsize = 512;
-                let mut q: Vec<u32> = (0..mix_n as u32).collect();
-                for k in 0..qsize {
-                    let j = rand::Rng::gen_range(&mut rng, k..mix_n);
-                    q.swap(k, j);
-                }
-                q.truncate(qsize);
-                q.sort_unstable();
+                let q = random_query(&mut rng_for(0x7E4A_1000 + i as u64), mix_n, 512);
                 SolveRequest::induced(resident, q)
                     .algorithm(Algorithm::Bl(BlConfig::default()))
                     .seed(0x7E4A_2000 + i as u64)
@@ -367,18 +391,15 @@ fn serve_experiment(quick: bool) {
         .collect();
     let per_tenant_delivered = mix_total as u64 / mix_tenants;
     let mut policy_rows = Vec::new();
-    let mut policy_summaries = Vec::new();
+    let mut policy_entries = Vec::new();
     for policy in [
         RoutePolicy::RoundRobin,
         RoutePolicy::TenantAffinity,
         RoutePolicy::LeastQueued,
     ] {
         let config = ServeConfig {
-            shards: 4,
-            queue_depth: 64,
-            threads_per_shard: Some(1),
             route: policy,
-            ..ServeConfig::default()
+            ..serve_config(4)
         };
         let mut best = f64::INFINITY;
         let mut rewarms: Vec<(u64, u64, u64)> = Vec::new();
@@ -422,45 +443,39 @@ fn serve_experiment(quick: bool) {
             hits.to_string(),
             misses.to_string(),
         ]);
+        let mut entry = vec![("policy", policy.name().into()), ("ms", round(best, 4))];
         // LeastQueued placement is scheduling-dependent, so its rewarm split
         // is telemetry we deliberately keep out of the committed artifact.
-        let rewarm_fields = if policy == RoutePolicy::LeastQueued {
-            String::new()
-        } else {
-            let per_tenant = rewarms
-                .iter()
-                .map(|&(tenant, h, m)| {
-                    format!(
-                        "{{\"tenant\": {tenant}, \"delivered\": {per_tenant_delivered}, \
-                         \"throughput_per_s\": {:.1}, \"rewarm_hits\": {h}, \
-                         \"rewarm_misses\": {m}}}",
-                        per_tenant_delivered as f64 / (best / 1e3)
-                    )
-                })
-                .collect::<Vec<_>>()
-                .join(", ");
-            format!(
-                ", \"rewarm_hits\": {hits}, \"rewarm_misses\": {misses}, \
-                 \"per_tenant\": [{per_tenant}]"
-            )
-        };
-        policy_summaries.push(format!(
-            "{{\"policy\": \"{}\", \"ms\": {best:.4}{rewarm_fields}}}",
-            policy.name()
-        ));
+        if policy != RoutePolicy::LeastQueued {
+            let per_tenant = rewarms.iter().map(|&(tenant, h, m)| {
+                Json::obj([
+                    ("tenant", tenant.into()),
+                    ("delivered", per_tenant_delivered.into()),
+                    (
+                        "throughput_per_s",
+                        round(per_tenant_delivered as f64 / (best / 1e3), 1),
+                    ),
+                    ("rewarm_hits", h.into()),
+                    ("rewarm_misses", m.into()),
+                ])
+            });
+            entry.extend([
+                ("rewarm_hits", hits.into()),
+                ("rewarm_misses", misses.into()),
+                ("per_tenant", per_tenant.collect::<Vec<_>>().into()),
+            ]);
+        }
+        policy_entries.push(Json::obj(entry));
     }
-    entries.push(format!(
-        concat!(
-            "    {{\"kind\": \"tenant_mix\", \"n\": {}, \"tenants\": {}, \"instances\": {}, ",
-            "\"outcomes_identical\": true, \"outcome_fingerprint\": \"{}\", ",
-            "\"policies\": [{}]}}"
-        ),
-        mix_n,
-        mix_tenants,
-        mix_total,
-        fingerprint_hex(&mix_reference),
-        policy_summaries.join(", "),
-    ));
+    entries.push(Json::obj([
+        ("kind", "tenant_mix".into()),
+        ("n", mix_n.into()),
+        ("tenants", mix_tenants.into()),
+        ("instances", mix_total.into()),
+        ("outcomes_identical", true.into()),
+        ("outcome_fingerprint", fingerprint(&mix_reference)),
+        ("policies", policy_entries.into()),
+    ]));
     println!("### tenant mix — {mix_tenants} tenants, 4 shards, routing policies\n");
     println!(
         "{}",
@@ -478,15 +493,7 @@ fn serve_experiment(quick: bool) {
         let resident = registry.register(uniform_workload(4096, 3, 0xADA1));
         let requests: Vec<SolveRequest> = (0..adm_total)
             .map(|i| {
-                let mut rng = rng_for(0xADA1_1000 + i as u64);
-                let qsize = 128;
-                let mut q: Vec<u32> = (0..4096u32).collect();
-                for k in 0..qsize {
-                    let j = rand::Rng::gen_range(&mut rng, k..4096);
-                    q.swap(k, j);
-                }
-                q.truncate(qsize);
-                q.sort_unstable();
+                let q = random_query(&mut rng_for(0xADA1_1000 + i as u64), 4096, 128);
                 SolveRequest::induced(resident, q)
                     .algorithm(Algorithm::Greedy)
                     .seed(0xADA1_2000 + i as u64)
@@ -497,9 +504,6 @@ fn serve_experiment(quick: bool) {
         (Arc::new(registry), requests)
     };
     let adm_config = ServeConfig {
-        shards: 4,
-        queue_depth: 64,
-        threads_per_shard: Some(1),
         route: RoutePolicy::RoundRobin,
         admission: AdmissionConfig {
             default_quota: None,
@@ -525,6 +529,7 @@ fn serve_experiment(quick: bool) {
                 ),
             ],
         },
+        ..serve_config(4)
     };
     let mut adm_replays = Vec::new();
     for _ in 0..2 {
@@ -545,35 +550,25 @@ fn serve_experiment(quick: bool) {
         "serve admission: decisions did not replay deterministically"
     );
     let adm_stats = &adm_replays[0].1;
-    let adm_per_tenant = adm_stats
-        .per_tenant
-        .iter()
-        .map(|t| {
-            format!(
-                "{{\"tenant\": {}, \"submitted\": {}, \"admitted\": {}, \
-                 \"denied_quota\": {}, \"denied_in_flight\": {}, \"delivered\": {}}}",
-                t.tenant.0,
-                t.submitted,
-                t.admitted,
-                t.denied_quota,
-                t.denied_in_flight,
-                t.delivered
-            )
-        })
-        .collect::<Vec<_>>()
-        .join(", ");
-    entries.push(format!(
-        concat!(
-            "    {{\"kind\": \"admission\", \"requests\": {}, \"deterministic_replay\": true, ",
-            "\"outcome_fingerprint\": \"{}\", \"admitted\": {}, \"denied\": {}, ",
-            "\"per_tenant\": [{}]}}"
-        ),
-        adm_total,
-        fingerprint_hex(&adm_replays[0].0),
-        adm_stats.admitted,
-        adm_stats.denied,
-        adm_per_tenant,
-    ));
+    let adm_per_tenant = adm_stats.per_tenant.iter().map(|t| {
+        Json::obj([
+            ("tenant", t.tenant.0.into()),
+            ("submitted", t.submitted.into()),
+            ("admitted", t.admitted.into()),
+            ("denied_quota", t.denied_quota.into()),
+            ("denied_in_flight", t.denied_in_flight.into()),
+            ("delivered", t.delivered.into()),
+        ])
+    });
+    entries.push(Json::obj([
+        ("kind", "admission".into()),
+        ("requests", adm_total.into()),
+        ("deterministic_replay", true.into()),
+        ("outcome_fingerprint", fingerprint(&adm_replays[0].0)),
+        ("admitted", adm_stats.admitted.into()),
+        ("denied", adm_stats.denied.into()),
+        ("per_tenant", adm_per_tenant.collect::<Vec<_>>().into()),
+    ]));
     println!(
         "### admission — {adm_total} requests, 3 tenants: {} admitted, {} denied \
          (replay-deterministic)\n",
@@ -628,15 +623,10 @@ fn serve_experiment(quick: bool) {
             (0..mut_queries)
                 .map(|i| {
                     let mut rng = rng_for(0x0ED1_1000 + (w * 1000 + i) as u64);
-                    let qsize = 256;
-                    let mut q: Vec<u32> = (0..mut_n as u32).collect();
-                    for k in 0..qsize {
-                        let j = rand::Rng::gen_range(&mut rng, k..mut_n);
-                        q.swap(k, j);
-                    }
-                    q.truncate(qsize);
-                    q.sort_unstable();
-                    (0x0ED1_2000 + (w * 1000 + i) as u64, q)
+                    (
+                        0x0ED1_2000 + (w * 1000 + i) as u64,
+                        random_query(&mut rng, mut_n, 256),
+                    )
                 })
                 .collect()
         })
@@ -662,12 +652,7 @@ fn serve_experiment(quick: bool) {
         let mut registry = ResidentRegistry::new();
         let resident = registry.register(mut_base.clone());
         let registry = Arc::new(registry);
-        let config = ServeConfig {
-            shards,
-            queue_depth: 64,
-            threads_per_shard: Some(1),
-            ..ServeConfig::default()
-        };
+        let config = serve_config(shards);
         let mut runner = ShardedRunner::new(Arc::clone(&registry), &config);
         for (w, wave) in mut_requests.iter().enumerate() {
             for (seed, q) in wave {
@@ -736,9 +721,7 @@ fn serve_experiment(quick: bool) {
     // Rebuild arm: per epoch, replay the log prefix from scratch into a
     // fresh registry and a fresh (cold) runner — what serving a mutable
     // graph costs without the epoch-versioned registry.
-    let mut rebuild_ms = f64::INFINITY;
-    for it in 0..iters {
-        let t0 = Instant::now();
+    let (rebuild_ms, fps) = best_of(iters, || {
         let mut log: Vec<GraphEdit> = Vec::new();
         let mut fps: Vec<SolveFingerprint> = Vec::new();
         for (w, wave) in mut_requests.iter().enumerate() {
@@ -746,12 +729,7 @@ fn serve_experiment(quick: bool) {
             let mut registry = ResidentRegistry::new();
             let resident = registry.register(graph);
             let registry = Arc::new(registry);
-            let config = ServeConfig {
-                shards: 4,
-                queue_depth: 64,
-                threads_per_shard: Some(1),
-                ..ServeConfig::default()
-            };
+            let config = serve_config(4);
             let mut runner = ShardedRunner::new(Arc::clone(&registry), &config);
             for (seed, q) in wave {
                 runner.submit(mut_request(resident, *seed, q));
@@ -766,26 +744,24 @@ fn serve_experiment(quick: bool) {
                 log.extend(batch.iter().cloned());
             }
         }
-        rebuild_ms = rebuild_ms.min(t0.elapsed().as_secs_f64() * 1e3);
-        if it == 0 {
-            // Replay determinism: identical payloads, epoch field aside (the
-            // rebuilt registries are always at epoch 0).
-            assert_eq!(fps.len(), mut_reference.len());
-            for (fresh, reference) in fps.iter().zip(&mut_reference) {
-                let payload_matches = fresh.0 == reference.0
-                    && fresh.2 == reference.2
-                    && fresh.3 == reference.3
-                    && fresh.4 == reference.4
-                    && fresh.5 == reference.5
-                    && fresh.6 == reference.6
-                    && fresh.7 == reference.7;
-                assert!(
-                    payload_matches,
-                    "serve mutation: rebuilt-from-log outcome diverged (seed {})",
-                    reference.0
-                );
-            }
-        }
+        fps
+    });
+    // Replay determinism: identical payloads, epoch field aside (the rebuilt
+    // registries are always at epoch 0).
+    assert_eq!(fps.len(), mut_reference.len());
+    for (fresh, reference) in fps.iter().zip(&mut_reference) {
+        let payload_matches = fresh.0 == reference.0
+            && fresh.2 == reference.2
+            && fresh.3 == reference.3
+            && fresh.4 == reference.4
+            && fresh.5 == reference.5
+            && fresh.6 == reference.6
+            && fresh.7 == reference.7;
+        assert!(
+            payload_matches,
+            "serve mutation: rebuilt-from-log outcome diverged (seed {})",
+            reference.0
+        );
     }
     // --- Restart-replay: the WAL is the cross-process determinism oracle.
     // Persist the registry mid-workload (epoch 2) and at the end of the
@@ -847,12 +823,7 @@ fn serve_experiment(quick: bool) {
             ResidentRegistry::with_retention(RetentionPolicy::keep_last(retention_keep_last));
         let resident = registry.register(mut_base.clone());
         let registry = Arc::new(registry);
-        let config = ServeConfig {
-            shards: 4,
-            queue_depth: 64,
-            threads_per_shard: Some(1),
-            ..ServeConfig::default()
-        };
+        let config = serve_config(4);
         let mut runner = ShardedRunner::new(Arc::clone(&registry), &config);
         let mut snapshots_max = registry.retained_snapshots(resident);
         for (w, wave) in mut_requests.iter().enumerate() {
@@ -882,28 +853,25 @@ fn serve_experiment(quick: bool) {
     };
 
     let mutate_speedup = rebuild_ms / mutate_ms;
-    entries.push(format!(
-        concat!(
-            "    {{\"kind\": \"mutation\", \"n\": {}, \"epochs\": {}, ",
-            "\"queries_per_epoch\": {}, \"mutate_ms\": {:.4}, \"rebuild_ms\": {:.4}, ",
-            "\"mutate_vs_rebuild_speedup\": {:.3}, \"replay_identical\": true, ",
-            "\"wal_replay_identical\": {}, \"retention_keep_last\": {}, ",
-            "\"retention_snapshots_max\": {}, \"retention_evictions\": {}, ",
-            "\"retention_latest_identical\": {}, \"outcome_fingerprint\": \"{}\"}}"
+    entries.push(Json::obj([
+        ("kind", "mutation".into()),
+        ("n", mut_n.into()),
+        ("epochs", mut_waves.into()),
+        ("queries_per_epoch", mut_queries.into()),
+        ("mutate_ms", round(mutate_ms, 4)),
+        ("rebuild_ms", round(rebuild_ms, 4)),
+        ("mutate_vs_rebuild_speedup", round(mutate_speedup, 3)),
+        ("replay_identical", true.into()),
+        ("wal_replay_identical", wal_replay_identical.into()),
+        ("retention_keep_last", retention_keep_last.into()),
+        ("retention_snapshots_max", retention_snapshots_max.into()),
+        ("retention_evictions", retention_evictions.into()),
+        (
+            "retention_latest_identical",
+            retention_latest_identical.into(),
         ),
-        mut_n,
-        mut_waves,
-        mut_queries,
-        mutate_ms,
-        rebuild_ms,
-        mutate_speedup,
-        wal_replay_identical,
-        retention_keep_last,
-        retention_snapshots_max,
-        retention_evictions,
-        retention_latest_identical,
-        fingerprint_hex(&mut_reference),
-    ));
+        ("outcome_fingerprint", fingerprint(&mut_reference)),
+    ]));
     println!(
         "### mutation — {mut_waves} epochs x {mut_queries} induced queries (n={mut_n}): \
          mutate {mutate_ms:.2} ms vs rebuild {rebuild_ms:.2} ms ({mutate_speedup:.2}x; \
@@ -948,27 +916,34 @@ fn serve_experiment(quick: bool) {
         format!("record-only (host_parallelism={host} < 4)")
     };
 
-    let mut json = String::from("{\n  \"experiment\": \"serve_sharded_runner\",\n");
-    let _ = writeln!(
-        json,
-        "  \"baseline\": \"sequential BatchRunner::solve over the request stream (single-shard \
-         amortized path: one workspace, no threads, no queues)\",\n  \
-         \"candidate\": \"ShardedRunner (N worker shards, per-shard WorkspacePool affinity, \
-         tenant routing + admission, bounded queues, ordered/streaming collection)\",\n  \
-         \"iters\": {iters},\n  \"host_parallelism\": {host},\n  \
-         \"scaling_assertion\": \"{scaling_assertion}\",\n  \
-         \"largest_workload\": {{\"kind\": \"query\", \"n\": {largest_n}, \
-         \"instances\": {instances}, \"shards\": 8, \
-         \"speedup_vs_1shard\": {largest_speedup:.3}}},\n  \
-         \"workloads\": ["
-    );
-    json.push_str(&entries.join(",\n"));
-    json.push_str("\n  ]\n}\n");
-    std::fs::write("BENCH_serve.json", &json).expect("write BENCH_serve.json");
-    println!(
-        "wrote BENCH_serve.json (largest workload: query n={largest_n}, 8 shards: \
-         {largest_speedup:.2}x vs 1 shard; host parallelism {host})\n"
-    );
+    let largest_workload = Json::obj([
+        ("kind", "query".into()),
+        ("n", largest_n.into()),
+        ("instances", instances.into()),
+        ("shards", 8usize.into()),
+        ("speedup_vs_1shard", round(largest_speedup, 3)),
+    ]);
+    let doc = Json::obj([
+        ("experiment", "serve_sharded_runner".into()),
+        (
+            "baseline",
+            "sequential BatchRunner::solve over the request stream (single-shard amortized \
+             path: one workspace, no threads, no queues)"
+                .into(),
+        ),
+        (
+            "candidate",
+            "ShardedRunner (N worker shards, per-shard WorkspacePool affinity, tenant routing \
+             + admission, bounded queues, ordered/streaming collection)"
+                .into(),
+        ),
+        ("iters", iters.into()),
+        ("host_parallelism", host.into()),
+        ("scaling_assertion", scaling_assertion.into()),
+        ("largest_workload", largest_workload),
+        ("workloads", entries.into()),
+    ]);
+    write_artifact("serve", &doc);
 }
 
 /// The cold-start experiment (the PR-9 tentpole gate): how fast does a
@@ -999,7 +974,7 @@ fn coldstart_experiment(quick: bool) {
     use std::sync::Arc;
 
     println!("\n## coldstart — parse+build vs WAL restore vs mmap open, file to first answer\n");
-    let iters = if quick { 3 } else { 5 };
+    let iters: usize = if quick { 3 } else { 5 };
     let steady_queries = 64usize;
     let pid = std::process::id();
     let mut rows = Vec::new();
@@ -1018,20 +993,9 @@ fn coldstart_experiment(quick: bool) {
 
         // The first query every arm must answer from cold, and the
         // steady-state stream the warm registries then serve.
-        let query_for = |i: usize| -> Arc<Vec<u32>> {
-            let mut rng = rng_for(0xC01D_1000 + (n + i) as u64);
-            let qsize = 512;
-            let mut q: Vec<u32> = (0..n as u32).collect();
-            for k in 0..qsize {
-                let j = rand::Rng::gen_range(&mut rng, k..n);
-                q.swap(k, j);
-            }
-            q.truncate(qsize);
-            q.sort_unstable();
-            Arc::new(q)
-        };
         let request = |id, i: usize| {
-            SolveRequest::induced(id, query_for(i))
+            let q = random_query(&mut rng_for(0xC01D_1000 + (n + i) as u64), n, 512);
+            SolveRequest::induced(id, Arc::new(q))
                 .algorithm(Algorithm::Bl(BlConfig::default()))
                 .seed(0xC01D_2000 + (n * 131 + i) as u64)
                 .tenant(TenantId(i as u64 % 4))
@@ -1083,31 +1047,18 @@ fn coldstart_experiment(quick: bool) {
             .open_mapped(&csr_path)
             .expect("open coldstart CSR snapshot");
         let mapped_stats = HypergraphStats::compute(mapped_registry.latest(mapped_id).graph());
-        let mut steady = [f64::INFINITY; 2];
-        let mut steady_prints: Vec<Vec<SolveFingerprint>> = Vec::new();
-        for (arm, best) in steady.iter_mut().enumerate() {
-            let (registry, id) = if arm == 0 {
-                (&owned_registry, owned_id)
-            } else {
-                (&mapped_registry, mapped_id)
-            };
-            let mut prints = Vec::new();
-            for it in 0..iters {
+        let steady = |registry: &ResidentRegistry, id| {
+            best_of(iters, || -> Vec<SolveFingerprint> {
                 let mut runner = BatchRunner::new();
-                let t0 = Instant::now();
-                let fps: Vec<SolveFingerprint> = (0..steady_queries)
+                (0..steady_queries)
                     .map(|i| runner.solve(registry, &request(id, i)).fingerprint())
-                    .collect();
-                *best = best.min(t0.elapsed().as_secs_f64() * 1e3);
-                if it == 0 {
-                    prints = fps;
-                }
-            }
-            steady_prints.push(prints);
-        }
-        let [steady_owned_ms, steady_mapped_ms] = steady;
+                    .collect()
+            })
+        };
+        let (steady_owned_ms, owned_prints) = steady(&owned_registry, owned_id);
+        let (steady_mapped_ms, mapped_prints) = steady(&mapped_registry, mapped_id);
         assert!(
-            steady_prints[0] == steady_prints[1],
+            owned_prints == mapped_prints,
             "coldstart: steady-state owned vs mapped outcomes diverged (n={n})"
         );
         let steady_throughput = steady_queries as f64 / (steady_mapped_ms / 1e3);
@@ -1126,33 +1077,24 @@ fn coldstart_experiment(quick: bool) {
             format!("{speedup_parse:.1}x"),
             format!("{steady_throughput:.0}"),
         ]);
-        entries.push(format!(
-            concat!(
-                "    {{\"kind\": \"coldstart\", \"n\": {}, \"m\": {}, ",
-                "\"bytes_resident\": {}, \"storage\": \"{}\", ",
-                "\"parse_build_ms\": {:.4}, \"restore_ms\": {:.4}, ",
-                "\"open_mapped_ms\": {:.4}, \"speedup_mapped_vs_parse\": {:.3}, ",
-                "\"speedup_mapped_vs_restore\": {:.3}, \"mapped_identical\": {}, ",
-                "\"outcome_fingerprint\": \"{}\", \"steady_queries\": {}, ",
-                "\"steady_owned_ms\": {:.4}, \"steady_mapped_ms\": {:.4}, ",
-                "\"steady_throughput_per_s\": {:.1}}}"
-            ),
-            n,
-            m,
-            mapped_stats.bytes_resident,
-            mapped_stats.storage,
-            parse_ms,
-            restore_ms,
-            mapped_ms,
-            speedup_parse,
-            speedup_restore,
-            mapped_identical,
-            fingerprint_hex(&steady_prints[0]),
-            steady_queries,
-            steady_owned_ms,
-            steady_mapped_ms,
-            steady_throughput,
-        ));
+        entries.push(Json::obj([
+            ("kind", "coldstart".into()),
+            ("n", n.into()),
+            ("m", m.into()),
+            ("bytes_resident", mapped_stats.bytes_resident.into()),
+            ("storage", mapped_stats.storage.into()),
+            ("parse_build_ms", round(parse_ms, 4)),
+            ("restore_ms", round(restore_ms, 4)),
+            ("open_mapped_ms", round(mapped_ms, 4)),
+            ("speedup_mapped_vs_parse", round(speedup_parse, 3)),
+            ("speedup_mapped_vs_restore", round(speedup_restore, 3)),
+            ("mapped_identical", mapped_identical.into()),
+            ("outcome_fingerprint", fingerprint(&owned_prints)),
+            ("steady_queries", steady_queries.into()),
+            ("steady_owned_ms", round(steady_owned_ms, 4)),
+            ("steady_mapped_ms", round(steady_mapped_ms, 4)),
+            ("steady_throughput_per_s", round(steady_throughput, 1)),
+        ]));
         std::fs::remove_file(&text_path).ok();
         std::fs::remove_file(&wal_path).ok();
         std::fs::remove_file(&csr_path).ok();
@@ -1185,25 +1127,32 @@ fn coldstart_experiment(quick: bool) {
          parse+build on the largest workload (n={largest_n}; target >= 5x)"
     );
 
-    let mut json = String::from("{\n  \"experiment\": \"coldstart_resident_graphs\",\n");
-    let _ = writeln!(
-        json,
-        "  \"baseline\": \"parse+build from the text snapshot (read_file: full parse, \
-         validation, counting-sort rebuild, then register + engine build)\",\n  \
-         \"candidate\": \"open_mapped on the HGCSR snapshot (checksummed header validation + \
-         zero-copy mmap of the four CSR arrays, engine built over the mapping)\",\n  \
-         \"iters\": {iters},\n  \
-         \"largest_workload\": {{\"kind\": \"coldstart\", \"n\": {largest_n}, \
-         \"speedup_mapped_vs_parse\": {largest_speedup:.3}}},\n  \
-         \"workloads\": ["
-    );
-    json.push_str(&entries.join(",\n"));
-    json.push_str("\n  ]\n}\n");
-    std::fs::write("BENCH_coldstart.json", &json).expect("write BENCH_coldstart.json");
-    println!(
-        "\nwrote BENCH_coldstart.json (largest workload n={largest_n}: open_mapped \
-         {largest_speedup:.2}x faster to first answer than parse+build)\n"
-    );
+    let doc = Json::obj([
+        ("experiment", "coldstart_resident_graphs".into()),
+        (
+            "baseline",
+            "parse+build from the text snapshot (read_file: full parse, validation, \
+             counting-sort rebuild, then register + engine build)"
+                .into(),
+        ),
+        (
+            "candidate",
+            "open_mapped on the HGCSR snapshot (checksummed header validation + zero-copy \
+             mmap of the four CSR arrays, engine built over the mapping)"
+                .into(),
+        ),
+        ("iters", iters.into()),
+        (
+            "largest_workload",
+            Json::obj([
+                ("kind", "coldstart".into()),
+                ("n", largest_n.into()),
+                ("speedup_mapped_vs_parse", round(largest_speedup, 3)),
+            ]),
+        ),
+        ("workloads", entries.into()),
+    ]);
+    write_artifact("coldstart", &doc);
 }
 
 /// The serve-net experiment (the PR-10 tentpole gate): the `MISP 1` socket
@@ -1231,13 +1180,13 @@ fn net_experiment(quick: bool) {
     use bench::load::{plan, LoadConfig};
     use hypergraph_mis::net::{Client, NetConfig, Server};
     use hypergraph_mis::serve::{
-        Algorithm, ResidentRegistry, ServeConfig, SolveFingerprint, SolveRequest, TenantId,
+        Algorithm, ResidentRegistry, SolveFingerprint, SolveRequest, TenantId,
     };
     use std::sync::Arc;
     use std::time::Duration;
 
     println!("\n## net — MISP loopback serving under deterministic open-loop load\n");
-    let iters = if quick { 3 } else { 5 };
+    let iters: usize = if quick { 3 } else { 5 };
     let n = 16384usize;
     let load = LoadConfig {
         seed: 0x6E73,
@@ -1257,14 +1206,7 @@ fn net_experiment(quick: bool) {
     let requests: Vec<SolveRequest> = schedule
         .iter()
         .map(|a| {
-            let mut rng = rng_for(0x6E73_1000 ^ a.solve_seed);
-            let mut q: Vec<u32> = (0..n as u32).collect();
-            for k in 0..a.query_size {
-                let j = rand::Rng::gen_range(&mut rng, k..n);
-                q.swap(k, j);
-            }
-            q.truncate(a.query_size);
-            q.sort_unstable();
+            let q = random_query(&mut rng_for(0x6E73_1000 ^ a.solve_seed), n, a.query_size);
             SolveRequest::induced(resident, q)
                 .algorithm(Algorithm::Bl(BlConfig::default()))
                 .seed(a.solve_seed)
@@ -1290,12 +1232,7 @@ fn net_experiment(quick: bool) {
     let mut entries = Vec::new();
     for shards in [1usize, 4] {
         let config = NetConfig {
-            serve: ServeConfig {
-                shards,
-                queue_depth: 64,
-                threads_per_shard: Some(1),
-                ..ServeConfig::default()
-            },
+            serve: serve_config(shards),
             ..NetConfig::default()
         };
         let (mut p50, mut p95, mut p99) = (f64::INFINITY, f64::INFINITY, f64::INFINITY);
@@ -1385,24 +1322,19 @@ fn net_experiment(quick: bool) {
             format!("{p99:.2}"),
             format!("{saturation_rps:.0}"),
         ]);
-        entries.push(format!(
-            concat!(
-                "    {{\"kind\": \"loopback\", \"shards\": {}, \"requests\": {}, ",
-                "\"tenants\": {}, \"hot_tenant_requests\": {}, ",
-                "\"p50_ms\": {:.4}, \"p95_ms\": {:.4}, \"p99_ms\": {:.4}, ",
-                "\"saturation_rps\": {:.1}, \"wire_identical\": true, ",
-                "\"outcome_fingerprint\": \"{}\"}}"
-            ),
-            shards,
-            load.requests,
-            load.tenants,
-            hot_requests,
-            p50,
-            p95,
-            p99,
-            saturation_rps,
-            fingerprint_hex(&reference),
-        ));
+        entries.push(Json::obj([
+            ("kind", "loopback".into()),
+            ("shards", shards.into()),
+            ("requests", load.requests.into()),
+            ("tenants", load.tenants.into()),
+            ("hot_tenant_requests", hot_requests.into()),
+            ("p50_ms", round(p50, 4)),
+            ("p95_ms", round(p95, 4)),
+            ("p99_ms", round(p99, 4)),
+            ("saturation_rps", round(saturation_rps, 1)),
+            ("wire_identical", true.into()),
+            ("outcome_fingerprint", fingerprint(&reference)),
+        ]));
     }
     println!(
         "{}",
@@ -1419,33 +1351,37 @@ fn net_experiment(quick: bool) {
         )
     );
 
-    let mut json = String::from("{\n  \"experiment\": \"net_misp_loopback\",\n");
-    let _ = writeln!(
-        json,
-        "  \"protocol\": \"MISP 1 (length-prefixed frames, FNV-1a payload checksums)\",\n  \
-         \"load\": \"open-loop exponential arrivals (mean {:.0}us), bounded-Pareto induced \
-         query sizes {}..={} (alpha {}), hot tenant 0 of {} at {:.0}% share\",\n  \
-         \"requests\": {},\n  \"iters\": {iters},\n  \"n\": {n},\n  \"workloads\": [",
+    let load_shape = format!(
+        "open-loop exponential arrivals (mean {:.0}us), bounded-Pareto induced query sizes \
+         {}..={} (alpha {}), hot tenant 0 of {} at {:.0}% share",
         load.mean_interarrival_us,
         load.min_query,
         load.max_query,
         load.tail_alpha,
         load.tenants,
         load.hot_share * 100.0,
-        load.requests,
     );
-    json.push_str(&entries.join(",\n"));
-    json.push_str("\n  ]\n}\n");
-    std::fs::write("BENCH_net.json", &json).expect("write BENCH_net.json");
-    println!("wrote BENCH_net.json (every wire outcome fingerprint-identical in-process)\n");
+    let doc = Json::obj([
+        ("experiment", "net_misp_loopback".into()),
+        (
+            "protocol",
+            "MISP 1 (length-prefixed frames, FNV-1a payload checksums)".into(),
+        ),
+        ("load", load_shape.into()),
+        ("requests", load.requests.into()),
+        ("iters", iters.into()),
+        ("n", n.into()),
+        ("workloads", entries.into()),
+    ]);
+    println!("every wire outcome fingerprint-identical in-process");
+    write_artifact("net", &doc);
 }
 
 /// A stable hex fingerprint over a sequence of per-request outcomes (FNV-1a
 /// chained over their debug encodings) — the exact-match determinism field
 /// the bench-regression gate compares across runs and hosts. One chain for
 /// every artifact, so the scheme can never silently diverge between them.
-fn fingerprint_hex<T: std::fmt::Debug>(items: &[T]) -> String {
-    use bench::baseline::fnv1a;
+fn fingerprint<T: std::fmt::Debug>(items: &[T]) -> Json {
     let mut acc = 0u64;
     for item in items {
         let h = fnv1a(format!("{item:?}").as_bytes());
@@ -1454,7 +1390,7 @@ fn fingerprint_hex<T: std::fmt::Debug>(items: &[T]) -> String {
         chain[8..].copy_from_slice(&h.to_le_bytes());
         acc = fnv1a(&chain);
     }
-    format!("0x{acc:016x}")
+    format!("0x{acc:016x}").into()
 }
 
 /// The batch-serving experiment: streams of 100 MIS solves answered
@@ -1485,7 +1421,7 @@ fn batch_runner_experiment(quick: bool) {
         "\n## batch — cold (rebuild pipeline) vs amortized (workspace-reusing) solve streams\n"
     );
     let instances = 100usize;
-    let iters = if quick { 3 } else { 7 };
+    let iters: usize = if quick { 3 } else { 7 };
     let mut rows = Vec::new();
     let mut entries = Vec::new();
     let mut largest: Option<(usize, f64)> = None;
@@ -1497,52 +1433,28 @@ fn batch_runner_experiment(quick: bool) {
     for n in [16384usize, 65536, 262144] {
         let base = uniform_workload(n, 3, 0xBA7C);
         let resident = ActiveHypergraph::from_hypergraph(&base);
-        let qsize = 512;
         let queries: Vec<Vec<u32>> = (0..instances)
-            .map(|i| {
-                let mut rng = rng_for(0xBA7C_1000 + (n + i) as u64);
-                let mut q: Vec<u32> = (0..n as u32).collect();
-                for k in 0..qsize {
-                    let j = rand::Rng::gen_range(&mut rng, k..n);
-                    q.swap(k, j);
-                }
-                q.truncate(qsize);
-                q.sort_unstable();
-                q
-            })
+            .map(|i| random_query(&mut rng_for(0xBA7C_1000 + (n + i) as u64), n, 512))
             .collect();
         let solve_rng = |i: usize| rng_for(0xBA7C_2000 + (n * 131 + i) as u64);
         let bl_cfg = BlConfig::default();
         let mut marked = vec![false; n];
 
         // Cold arm: every query derives its sub-instance from scratch.
-        let mut best_cold = f64::INFINITY;
-        let mut cold_outcomes: Vec<BatchOutcome> = Vec::new();
-        for it in 0..iters {
-            let t0 = Instant::now();
-            let outs: Vec<BatchOutcome> = queries
+        let (best_cold, cold_outcomes) = best_of(iters, || -> Vec<BatchOutcome> {
+            queries
                 .iter()
                 .enumerate()
                 .map(|(i, q)| {
-                    for &v in q {
-                        marked[v as usize] = true;
-                    }
-                    let mut sub = resident.induced_by(&marked);
-                    for &v in q {
-                        marked[v as usize] = false;
-                    }
+                    let mut sub = with_marked(&mut marked, q, |m| resident.induced_by(m));
                     let mut cost = CostTracker::new();
                     let (set, _) =
                         mis_core::bl::bl_on_active(&mut sub, &mut solve_rng(i), &bl_cfg, &mut cost);
                     let c = cost.cost();
                     (set, (c.work, c.depth, cost.rounds()))
                 })
-                .collect();
-            best_cold = best_cold.min(t0.elapsed().as_secs_f64() * 1e3);
-            if it == 0 {
-                cold_outcomes = outs;
-            }
-        }
+                .collect()
+        });
 
         // Amortized arm: one engine slot + workspace across the stream.
         let mut best_amortized = f64::INFINITY;
@@ -1556,13 +1468,9 @@ fn batch_runner_experiment(quick: bool) {
                 .iter()
                 .enumerate()
                 .map(|(i, q)| {
-                    for &v in q {
-                        marked[v as usize] = true;
-                    }
-                    resident.induced_by_into(&marked, q, &mut slot);
-                    for &v in q {
-                        marked[v as usize] = false;
-                    }
+                    with_marked(&mut marked, q, |m| {
+                        resident.induced_by_into(m, q, &mut slot)
+                    });
                     let mut cost = CostTracker::new();
                     let (set, _) = mis_core::bl::bl_on_active_in(
                         &mut slot,
@@ -1579,13 +1487,10 @@ fn batch_runner_experiment(quick: bool) {
             if it == 0 {
                 amortized_outcomes = outs;
                 let before = runner.workspace().fresh_allocations();
-                for &v in &queries[0] {
-                    marked[v as usize] = true;
-                }
-                resident.induced_by_into(&marked, &queries[0], &mut slot);
-                for &v in &queries[0] {
-                    marked[v as usize] = false;
-                }
+                let q = &queries[0];
+                with_marked(&mut marked, q, |m| {
+                    resident.induced_by_into(m, q, &mut slot)
+                });
                 let mut cost = CostTracker::new();
                 let _ = mis_core::bl::bl_on_active_in(
                     &mut slot,
@@ -1598,42 +1503,26 @@ fn batch_runner_experiment(quick: bool) {
             }
         }
 
-        let (sets_identical, costs_identical) =
-            compare_outcomes(&cold_outcomes, &amortized_outcomes);
-        assert!(
-            sets_identical && costs_identical,
-            "batch query: cold and amortized solves disagree (n={n})"
+        let (row, entry) = batch_record(
+            "query",
+            n,
+            best_cold,
+            &cold_outcomes,
+            best_amortized,
+            &amortized_outcomes,
+            warm_allocations,
         );
+        rows.push(row);
+        entries.push(entry);
+        largest = Some((n, best_cold / best_amortized));
         // Spot-check independence of the answers against the resident state.
         for (i, q) in queries.iter().enumerate().take(5) {
-            for &v in q {
-                marked[v as usize] = true;
-            }
-            let mut sub = resident.induced_by(&marked);
-            for &v in q {
-                marked[v as usize] = false;
-            }
+            let mut sub = with_marked(&mut marked, q, |m| resident.induced_by(m));
             assert!(
                 !sub.contains_live_edge_within(&amortized_outcomes[i].0),
                 "batch query: answer not independent (n={n}, query {i})"
             );
         }
-
-        let speedup = best_cold / best_amortized;
-        largest = Some((n, speedup));
-        push_batch_row(
-            &mut rows,
-            &mut entries,
-            "query",
-            n,
-            instances,
-            best_cold,
-            best_amortized,
-            warm_allocations,
-            sets_identical,
-            costs_identical,
-            &fingerprint_hex(&cold_outcomes),
-        );
     }
 
     // --- Family 2: independent full SBL solves. ---
@@ -1644,12 +1533,8 @@ fn batch_runner_experiment(quick: bool) {
             .collect();
         let solve_rng = |i: usize| rng_for(0xBA7C_0000 + (n * 1000 + i) as u64);
 
-        let mut best_cold = f64::INFINITY;
-        let mut cold_outcomes: Vec<BatchOutcome> = Vec::new();
-        for it in 0..iters {
-            let t0 = Instant::now();
-            let outs: Vec<BatchOutcome> = hs
-                .iter()
+        let (best_cold, cold_outcomes) = best_of(iters, || -> Vec<BatchOutcome> {
+            hs.iter()
                 .enumerate()
                 .map(|(i, h)| {
                     let out = mis_core::sbl::sbl_mis_rebuild(h, &mut solve_rng(i), &cfg);
@@ -1659,12 +1544,8 @@ fn batch_runner_experiment(quick: bool) {
                         (c.work, c.depth, out.cost.rounds() as u64),
                     )
                 })
-                .collect();
-            best_cold = best_cold.min(t0.elapsed().as_secs_f64() * 1e3);
-            if it == 0 {
-                cold_outcomes = outs;
-            }
-        }
+                .collect()
+        });
 
         let mut best_amortized = f64::INFINITY;
         let mut amortized_outcomes: Vec<BatchOutcome> = Vec::new();
@@ -1693,25 +1574,17 @@ fn batch_runner_experiment(quick: bool) {
             }
         }
 
-        let (sets_identical, costs_identical) =
-            compare_outcomes(&cold_outcomes, &amortized_outcomes);
-        assert!(
-            sets_identical && costs_identical,
-            "batch sbl: cold and amortized solves disagree (n={n})"
-        );
-        push_batch_row(
-            &mut rows,
-            &mut entries,
+        let (row, entry) = batch_record(
             "sbl_stream",
             n,
-            instances,
             best_cold,
+            &cold_outcomes,
             best_amortized,
+            &amortized_outcomes,
             warm_allocations,
-            sets_identical,
-            costs_identical,
-            &fingerprint_hex(&cold_outcomes),
         );
+        rows.push(row);
+        entries.push(entry);
     }
 
     println!(
@@ -1730,78 +1603,80 @@ fn batch_runner_experiment(quick: bool) {
         )
     );
     let (largest_n, largest_speedup) = largest.expect("at least one workload");
-    let mut json = String::from("{\n  \"experiment\": \"batch_runner\",\n");
-    let _ = writeln!(
-        json,
-        "  \"baseline\": \"cold solves (rebuild pipeline: fresh engine / allocating induced_by \
-         per instance, fresh scratch per subcall)\",\n  \
-         \"candidate\": \"BatchRunner (one Workspace amortized across the stream: reset_from / \
-         induced_by_into with compact incidence + pooled scratch)\",\n  \
-         \"iters\": {iters},\n  \
-         \"largest_workload\": {{\"kind\": \"query\", \"n\": {largest_n}, \
-         \"instances\": {instances}, \"speedup\": {largest_speedup:.3}}},\n  \
-         \"workloads\": ["
-    );
-    json.push_str(&entries.join(",\n"));
-    json.push_str("\n  ]\n}\n");
-    std::fs::write("BENCH_batch.json", &json).expect("write BENCH_batch.json");
-    println!(
-        "wrote BENCH_batch.json (largest workload: query n={largest_n}: {largest_speedup:.2}x amortized speedup)\n"
-    );
+    let doc = Json::obj([
+        ("experiment", "batch_runner".into()),
+        (
+            "baseline",
+            "cold solves (rebuild pipeline: fresh engine / allocating induced_by per instance, \
+             fresh scratch per subcall)"
+                .into(),
+        ),
+        (
+            "candidate",
+            "BatchRunner (one Workspace amortized across the stream: reset_from / \
+             induced_by_into with compact incidence + pooled scratch)"
+                .into(),
+        ),
+        ("iters", iters.into()),
+        (
+            "largest_workload",
+            Json::obj([
+                ("kind", "query".into()),
+                ("n", largest_n.into()),
+                ("instances", instances.into()),
+                ("speedup", round(largest_speedup, 3)),
+            ]),
+        ),
+        ("workloads", entries.into()),
+    ]);
+    write_artifact("batch", &doc);
 }
 
 /// Per-instance batch outcome: `(independent set, (work, depth, rounds))`.
 type BatchOutcome = (Vec<u32>, (u64, u64, u64));
 
-/// Compares per-instance outcomes of the two batch arms.
-fn compare_outcomes(cold: &[BatchOutcome], amortized: &[BatchOutcome]) -> (bool, bool) {
-    let sets = cold.len() == amortized.len() && cold.iter().zip(amortized).all(|(c, a)| c.0 == a.0);
-    let costs = cold.iter().zip(amortized).all(|(c, a)| c.1 == a.1);
-    (sets, costs)
-}
-
-#[allow(clippy::too_many_arguments)]
-fn push_batch_row(
-    rows: &mut Vec<Vec<String>>,
-    entries: &mut Vec<String>,
+/// Asserts that the cold and amortized arms of one batch workload agree on
+/// every instance's set and cost totals, then returns the workload's table
+/// row and artifact entry.
+fn batch_record(
     kind: &str,
     n: usize,
-    instances: usize,
     cold_ms: f64,
+    cold: &[BatchOutcome],
     amortized_ms: f64,
+    amortized: &[BatchOutcome],
     warm_allocations: u64,
-    sets_identical: bool,
-    costs_identical: bool,
-    fingerprint: &str,
-) {
+) -> (Vec<String>, Json) {
+    let sets_identical =
+        cold.len() == amortized.len() && cold.iter().zip(amortized).all(|(c, a)| c.0 == a.0);
+    let costs_identical = cold.iter().zip(amortized).all(|(c, a)| c.1 == a.1);
+    assert!(
+        sets_identical && costs_identical,
+        "batch {kind}: cold and amortized solves disagree (n={n})"
+    );
     let speedup = cold_ms / amortized_ms;
-    rows.push(vec![
+    let row = vec![
         kind.to_string(),
         n.to_string(),
-        instances.to_string(),
+        cold.len().to_string(),
         format!("{cold_ms:.2}"),
         format!("{amortized_ms:.2}"),
         format!("{speedup:.2}x"),
         warm_allocations.to_string(),
+    ];
+    let entry = Json::obj([
+        ("kind", kind.into()),
+        ("n", n.into()),
+        ("instances", cold.len().into()),
+        ("cold_ms", round(cold_ms, 4)),
+        ("amortized_ms", round(amortized_ms, 4)),
+        ("speedup", round(speedup, 3)),
+        ("warm_fresh_allocations", warm_allocations.into()),
+        ("outcome_fingerprint", fingerprint(cold)),
+        ("sets_identical", sets_identical.into()),
+        ("costs_identical", costs_identical.into()),
     ]);
-    entries.push(format!(
-        concat!(
-            "    {{\"kind\": \"{}\", \"n\": {}, \"instances\": {}, \"cold_ms\": {:.4}, ",
-            "\"amortized_ms\": {:.4}, \"speedup\": {:.3}, ",
-            "\"warm_fresh_allocations\": {}, \"outcome_fingerprint\": \"{}\", ",
-            "\"sets_identical\": {}, \"costs_identical\": {}}}"
-        ),
-        kind,
-        n,
-        instances,
-        cold_ms,
-        amortized_ms,
-        speedup,
-        warm_allocations,
-        fingerprint,
-        sets_identical,
-        costs_identical,
-    ));
+    (row, entry)
 }
 
 /// Engine regression guard: SBL on the `sbl_scaling` workloads, run on both
@@ -1815,7 +1690,7 @@ fn activeset_engine_guard(quick: bool) {
     use hypergraph::ReferenceActiveHypergraph;
     use rand::RngCore as _;
     println!("\n## activeset — flat engine vs reference engine on the sbl_scaling workloads\n");
-    let iters = if quick { 3 } else { 7 };
+    let iters: usize = if quick { 3 } else { 7 };
 
     // Micro-throughput of the two vectorized hot loops, measured through the
     // same entry points the engines use. The `_ms` keys gate as wall-time
@@ -1823,16 +1698,10 @@ fn activeset_engine_guard(quick: bool) {
     // (e.g. detection regressing to scalar) fails CI even when the
     // end-to-end engine timings are too noisy to show it.
     let rng_words: usize = if quick { 1 << 18 } else { 1 << 20 };
-    let mut rng_fill_ms = f64::INFINITY;
-    let mut sink = 0u64;
-    for _ in 0..iters {
+    let (rng_fill_ms, sink) = best_of(iters, || {
         let mut rng = rng_for(0x51AD);
-        let t0 = Instant::now();
-        for _ in 0..rng_words / 2 {
-            sink = sink.wrapping_add(rng.next_u64());
-        }
-        rng_fill_ms = rng_fill_ms.min(t0.elapsed().as_secs_f64() * 1e3);
-    }
+        (0..rng_words / 2).fold(0u64, |sink, _| sink.wrapping_add(rng.next_u64()))
+    });
     std::hint::black_box(sink);
 
     // One "sweep op" = the three wide primitives the engine leans on
@@ -1842,16 +1711,13 @@ fn activeset_engine_guard(quick: bool) {
     let status: Vec<u8> = (0..sweep_bytes).map(|i| u8::from(i % 5 == 0)).collect();
     let weights: Vec<u32> = (0..sweep_bytes).map(|i| (i as u32) & 0x3FF).collect();
     let mut compacted: Vec<u32> = Vec::new();
-    let mut sweep_ms = f64::INFINITY;
-    for _ in 0..iters {
-        let t0 = Instant::now();
+    let (sweep_ms, (live, mass)) = best_of(iters, || {
         let live = pram::simd::count_eq_u8(&status, 0);
         pram::simd::positions_eq_u8(&status, 0, &mut compacted);
-        let mass = pram::simd::sum_u32_where_u8_eq(&weights, &status, 0);
-        sweep_ms = sweep_ms.min(t0.elapsed().as_secs_f64() * 1e3);
-        assert_eq!(live, compacted.len(), "activeset: sweep self-check failed");
-        std::hint::black_box(mass);
-    }
+        (live, pram::simd::sum_u32_where_u8_eq(&weights, &status, 0))
+    });
+    assert_eq!(live, compacted.len(), "activeset: sweep self-check failed");
+    std::hint::black_box(mass);
     println!(
         "keystream fill [{}]: {rng_fill_ms:.3} ms / {rng_words} words; \
          status sweeps [{}]: {sweep_ms:.3} ms / {sweep_bytes} bytes\n",
@@ -1866,27 +1732,12 @@ fn activeset_engine_guard(quick: bool) {
         let h = paper_workload(n, 1);
         let cfg = SblConfig::default();
 
-        let mut best_ref = f64::INFINITY;
-        let mut reference = None;
-        for _ in 0..iters {
-            let mut rng = rng_for(n as u64);
-            let t0 = Instant::now();
-            let out = sbl_mis_with_engine::<ReferenceActiveHypergraph, _>(&h, &mut rng, &cfg);
-            best_ref = best_ref.min(t0.elapsed().as_secs_f64() * 1e3);
-            reference = Some(out);
-        }
-        let reference = reference.expect("iters >= 1");
-
-        let mut best_flat = f64::INFINITY;
-        let mut flat = None;
-        for _ in 0..iters {
-            let mut rng = rng_for(n as u64);
-            let t0 = Instant::now();
-            let out = sbl_mis_with_engine::<ActiveHypergraph, _>(&h, &mut rng, &cfg);
-            best_flat = best_flat.min(t0.elapsed().as_secs_f64() * 1e3);
-            flat = Some(out);
-        }
-        let flat = flat.expect("iters >= 1");
+        let (best_ref, reference) = best_of(iters, || {
+            sbl_mis_with_engine::<ReferenceActiveHypergraph, _>(&h, &mut rng_for(n as u64), &cfg)
+        });
+        let (best_flat, flat) = best_of(iters, || {
+            sbl_mis_with_engine::<ActiveHypergraph, _>(&h, &mut rng_for(n as u64), &cfg)
+        });
 
         verify_mis(&h, &flat.independent_set).expect("activeset: invalid MIS");
         assert_eq!(
@@ -1914,27 +1765,23 @@ fn activeset_engine_guard(quick: bool) {
             format!("{:.3}", best_flat / rounds as f64),
             (fc.work / rounds).to_string(),
         ]);
-        entries.push(format!(
-            concat!(
-                "    {{\"n\": {}, \"m\": {}, \"reference_ms\": {:.4}, \"flat_ms\": {:.4}, ",
-                "\"speedup\": {:.3}, \"rounds\": {}, \"work\": {}, \"depth\": {}, ",
-                "\"reference_ms_per_round\": {:.5}, \"flat_ms_per_round\": {:.5}, ",
-                "\"work_per_round\": {}, \"set_fingerprint\": \"0x{:016x}\", ",
-                "\"sets_identical\": true, \"costs_identical\": true}}"
-            ),
-            n,
-            h.n_edges(),
-            best_ref,
-            best_flat,
-            speedup,
-            rounds,
-            fc.work,
-            fc.depth,
-            best_ref / rounds as f64,
-            best_flat / rounds as f64,
-            fc.work / rounds,
-            bench::baseline::fnv1a(format!("{:?}", flat.independent_set).as_bytes()),
-        ));
+        let set_hash = fnv1a(format!("{:?}", flat.independent_set).as_bytes());
+        entries.push(Json::obj([
+            ("n", n.into()),
+            ("m", h.n_edges().into()),
+            ("reference_ms", round(best_ref, 4)),
+            ("flat_ms", round(best_flat, 4)),
+            ("speedup", round(speedup, 3)),
+            ("rounds", rounds.into()),
+            ("work", fc.work.into()),
+            ("depth", fc.depth.into()),
+            ("reference_ms_per_round", round(best_ref / rounds as f64, 5)),
+            ("flat_ms_per_round", round(best_flat / rounds as f64, 5)),
+            ("work_per_round", (fc.work / rounds).into()),
+            ("set_fingerprint", format!("0x{set_hash:016x}").into()),
+            ("sets_identical", true.into()),
+            ("costs_identical", true.into()),
+        ]));
     }
     println!(
         "{}",
@@ -1954,30 +1801,52 @@ fn activeset_engine_guard(quick: bool) {
         )
     );
     let (largest_n, largest_speedup) = largest.expect("at least one workload");
-    let mut json = String::from("{\n  \"experiment\": \"activeset_engine_guard\",\n");
-    let _ = writeln!(
-        json,
-        "  \"baseline\": \"ReferenceActiveHypergraph (pre-flat Vec/BTreeSet engine)\",\n  \
-         \"candidate\": \"ActiveHypergraph (flat epoch-stamped engine)\",\n  \
-         \"iters\": {iters},\n  \
-         \"simd\": {{\"keystream\": \"{}\", \"keystream_blocks_per_op\": {}, \
-         \"sweeps\": \"{}\", \"sweep_bytes_per_op\": {}, \"forced_scalar\": {}}},\n  \
-         \"rng_words\": {rng_words},\n  \"rng_fill_ms\": {rng_fill_ms:.4},\n  \
-         \"sweep_bytes\": {sweep_bytes},\n  \"sweep_ms\": {sweep_ms:.4},\n  \
-         \"largest_workload\": {{\"n\": {largest_n}, \"speedup\": {largest_speedup:.3}}},\n  \
-         \"workloads\": [",
-        rand_chacha::simd::active_path(),
-        rand_chacha::simd::backend().lanes(),
-        pram::simd::active_path(),
-        pram::simd::active().u8_lanes(),
-        rand_chacha::simd::forced_scalar() || pram::simd::forced_scalar(),
-    );
-    json.push_str(&entries.join(",\n"));
-    json.push_str("\n  ]\n}\n");
-    std::fs::write("BENCH_activeset.json", &json).expect("write BENCH_activeset.json");
-    println!(
-        "wrote BENCH_activeset.json (largest workload n={largest_n}: {largest_speedup:.2}x)\n"
-    );
+    let simd = Json::obj([
+        ("keystream", rand_chacha::simd::active_path().into()),
+        (
+            "keystream_blocks_per_op",
+            rand_chacha::simd::backend().lanes().into(),
+        ),
+        ("sweeps", pram::simd::active_path().into()),
+        ("sweep_bytes_per_op", pram::simd::active().u8_lanes().into()),
+        (
+            "forced_scalar",
+            (rand_chacha::simd::forced_scalar() || pram::simd::forced_scalar()).into(),
+        ),
+    ]);
+    let doc = Json::obj([
+        ("experiment", "activeset_engine_guard".into()),
+        (
+            "baseline",
+            "ReferenceActiveHypergraph (pre-flat Vec/BTreeSet engine)".into(),
+        ),
+        (
+            "candidate",
+            "ActiveHypergraph (flat epoch-stamped engine)".into(),
+        ),
+        ("iters", iters.into()),
+        ("simd", simd),
+        ("rng_words", rng_words.into()),
+        ("rng_fill_ms", round(rng_fill_ms, 4)),
+        ("sweep_bytes", sweep_bytes.into()),
+        ("sweep_ms", round(sweep_ms, 4)),
+        (
+            "largest_workload",
+            Json::obj([
+                ("n", largest_n.into()),
+                ("speedup", round(largest_speedup, 3)),
+            ]),
+        ),
+        ("workloads", entries.into()),
+    ]);
+    write_artifact("activeset", &doc);
+}
+
+/// Without the reference engine there is nothing to compare the flat engine
+/// against, so the guard writes no artifact.
+#[cfg(not(feature = "reference-engine"))]
+fn activeset_engine_guard(_quick: bool) {
+    println!("activeset: skipped (requires the `reference-engine` feature)");
 }
 
 fn ns(quick: bool, full: &[usize], small: &[usize]) -> Vec<usize> {
@@ -2385,7 +2254,7 @@ fn e9_special_classes(quick: bool) {
 
 /// E10 — where each potential-function recurrence admits the Theorem-2
 /// analysis.
-fn e10_admissibility() {
+fn e10_admissibility(_quick: bool) {
     println!("\n## E10 — Admissibility of the Theorem-2 analysis (recurrence comparison)\n");
     let mut rows = Vec::new();
     for log2n in [16u32, 24, 32, 48, 64] {

@@ -40,8 +40,8 @@ pub fn linear_workload(n: usize, seed: u64) -> Hypergraph {
     generate::linear(&mut rng, n, (2 * n) / 3, 3)
 }
 
-/// Renders a markdown table (used by the experiments harness so its output can
-/// be pasted into EXPERIMENTS.md verbatim).
+/// Renders a markdown table (the experiments harness prints its results as
+/// these, ready to paste into a markdown document).
 pub fn markdown_table(headers: &[&str], rows: &[Vec<String>]) -> String {
     let mut out = String::new();
     out.push_str("| ");

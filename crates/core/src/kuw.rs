@@ -7,7 +7,7 @@
 //! instance.
 //!
 //! The oracle model is not directly executable, so this module implements the
-//! standard *batched random search* adaptation (documented in DESIGN.md §5):
+//! standard *batched random search* adaptation:
 //! in every round the algorithm
 //!
 //! 1. discards vertices that can no longer join (singleton edges) — they are

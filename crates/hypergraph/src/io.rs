@@ -411,11 +411,15 @@ pub const WAL_VERSION: u32 = 1;
 
 const WAL_MAGIC: &str = "HGWAL";
 
-/// FNV-1a over the payload bytes — the per-record checksum of the WAL
-/// format. Not cryptographic: it detects torn tails and bit rot, which is
-/// the threat model for a local WAL (a hostile writer can forge whatever it
-/// likes anyway, including the graph itself).
-fn fnv1a(bytes: &[u8]) -> u64 {
+/// FNV-1a 64-bit over a byte string (offset basis `0xcbf29ce484222325`,
+/// prime `0x100000001b3`): the per-record checksum of the WAL format and the
+/// header checksum of the HGCSR snapshot. The MISP frame layer re-exports it
+/// as its payload checksum, and the bench artifacts' outcome fingerprints
+/// are built from it, so its output is pinned. Not cryptographic: it detects
+/// torn tails and bit rot, which is the threat model for a local WAL (a
+/// hostile writer can forge whatever it likes anyway, including the graph
+/// itself).
+pub fn fnv1a(bytes: &[u8]) -> u64 {
     let mut hash = 0xcbf2_9ce4_8422_2325u64;
     for &b in bytes {
         hash ^= b as u64;

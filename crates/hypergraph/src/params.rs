@@ -17,7 +17,7 @@
 //! needs `n ≥ 2^16 = 65536`); for the `n` reachable in experiments the derived
 //! `d` would be `< 1`. The functions therefore return the *raw* real-valued
 //! quantities and clamped "practical" variants side by side, and the
-//! experiments state explicitly which regime they use (see DESIGN.md §5).
+//! experiments state explicitly which regime they use.
 
 /// Base-2 logarithm, returning `None` for inputs `< 1`.
 pub fn log2_checked(x: f64) -> Option<f64> {

@@ -29,17 +29,9 @@ pub const HEADER_LEN: usize = 20;
 /// lying length field cannot make a peer reserve memory.
 pub const DEFAULT_MAX_PAYLOAD: u32 = 1 << 26;
 
-/// The FNV-1a 64-bit hash of a byte slice — the per-frame checksum (offset
-/// basis `0xcbf29ce484222325`, prime `0x100000001b3`; the same function the
-/// HGCSR snapshot format uses).
-pub fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut hash = 0xcbf2_9ce4_8422_2325u64;
-    for &b in bytes {
-        hash ^= b as u64;
-        hash = hash.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    hash
-}
+/// The per-frame checksum: the same FNV-1a 64-bit hash the HGWAL and HGCSR
+/// formats use.
+pub use hypergraph::io::fnv1a;
 
 /// What a frame carries, from the header's kind byte.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]

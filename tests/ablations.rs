@@ -1,4 +1,4 @@
-//! Ablation studies over the design choices DESIGN.md calls out: the sampling
+//! Ablation studies over the design choices of the SBL pipeline: the sampling
 //! probability `p`, the dimension cap `d`, the choice of tail algorithm, and
 //! the cleanup steps of the active-hypergraph machinery. These are integration
 //! tests rather than benches because the claims are structural ("still a valid

@@ -4,8 +4,8 @@
 //! depth, rounds), run after run — including when the PRAM primitives execute
 //! on multi-threaded rayon pools, and across different pool sizes.
 //!
-//! This is the foundation every experiment in EXPERIMENTS.md rests on: if a
-//! seeded run is not bit-stable, no reported table is trustworthy.
+//! This is the foundation every experiment (E1–E10, see ROADMAP.md) rests
+//! on: if a seeded run is not bit-stable, no reported table is trustworthy.
 
 use hypergraph_mis::hypergraph::Hypergraph;
 use hypergraph_mis::prelude::*;
