@@ -403,6 +403,9 @@ fn rule_for(key: &str) -> Rule {
         // Coldstart workload identity: the storage tier and resident
         // footprint of the snapshot under test are deterministic.
         "storage" | "bytes_resident" => Rule::Exact,
+        // The SIMD paths an artifact was recorded on: its `_ms` fields are
+        // only comparable to a baseline taken on the same paths.
+        "keystream" | "sweeps" | "forced_scalar" => Rule::Exact,
         k if k.ends_with("_ms") || k == "ms" => Rule::WallTimeCeiling,
         k if k.starts_with("speedup") => Rule::SpeedupFloor,
         _ => Rule::Ignore,
@@ -692,6 +695,38 @@ mod tests {
             "failures: {:?}",
             report.failures
         );
+    }
+
+    /// An artifact recorded on another SIMD path (here forced scalar
+    /// against an AVX2 baseline) fails on the path fields instead of having
+    /// its wall times banded against the baseline's.
+    #[test]
+    fn simd_path_fields_gate() {
+        let fresh = FRESH.replace(
+            "\"host_parallelism\": 4,",
+            "\"host_parallelism\": 4, \"simd\": {\"keystream\": \"avx2\", \
+             \"keystream_blocks_per_op\": 8, \"sweeps\": \"avx2\", \
+             \"sweep_bytes_per_op\": 32, \"forced_scalar\": false},",
+        );
+        assert!(check_against(&fresh, &fresh, 0.0).unwrap().passed());
+        let scalar = fresh
+            .replace(
+                "\"keystream\": \"avx2\"",
+                "\"keystream\": \"scalar (forced)\"",
+            )
+            .replace("\"sweeps\": \"avx2\"", "\"sweeps\": \"scalar (forced)\"")
+            .replace("\"forced_scalar\": false", "\"forced_scalar\": true");
+        let report = check_against(&scalar, &fresh, 10.0).unwrap();
+        for field in ["keystream", "sweeps", "forced_scalar"] {
+            assert!(
+                report
+                    .failures
+                    .iter()
+                    .any(|f| f.contains("fingerprint mismatch") && f.contains(field)),
+                "{field} did not trip; failures: {:?}",
+                report.failures
+            );
+        }
     }
 
     #[test]

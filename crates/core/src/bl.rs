@@ -27,6 +27,7 @@ use pram::Workspace;
 use rand::Rng;
 
 use crate::greedy::greedy_on_active_in;
+use crate::sample;
 use crate::trace::{BlStageStats, BlTrace};
 
 /// Tuning knobs for a Beame–Luby run.
@@ -278,12 +279,10 @@ pub(crate) fn bl_on_active_scratch<E: ActiveEngine, R: Rng + ?Sized>(
         // RNG consumption order across engines).
         active.alive_into(alive);
         let mut n_marked = 0usize;
-        for &v in alive.iter() {
-            if rng.gen_bool(p) {
-                marked[v as usize] = true;
-                n_marked += 1;
-            }
-        }
+        sample::for_each_hit(rng, p, alive, |v| {
+            marked[v as usize] = true;
+            n_marked += 1;
+        });
         cost.record(Cost::parallel_step(n_alive as u64));
 
         // Step 2: unmark every vertex of every fully marked edge.

@@ -47,6 +47,7 @@ pub mod greedy;
 pub mod kuw;
 pub mod linear;
 pub mod permutation;
+mod sample;
 pub mod sbl;
 pub mod trace;
 pub mod verify;

@@ -19,6 +19,7 @@ use pram::Workspace;
 use rand::Rng;
 
 use crate::greedy::greedy_on_active_in;
+use crate::sample;
 use crate::trace::{BlStageStats, BlTrace};
 
 /// Result of a linear-hypergraph MIS run.
@@ -163,12 +164,10 @@ pub fn linear_mis_with_engine_in<E: ActiveEngine + Send + 'static, R: Rng + ?Siz
 
         let mut n_marked = 0usize;
         active.alive_into(&mut alive);
-        for &v in &alive {
-            if rng.gen_bool(p) {
-                marked[v as usize] = true;
-                n_marked += 1;
-            }
-        }
+        sample::for_each_hit(rng, p, &alive, |v| {
+            marked[v as usize] = true;
+            n_marked += 1;
+        });
         cost.record(Cost::parallel_step(n_alive as u64));
 
         for e in active.edge_slices() {

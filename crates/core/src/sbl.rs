@@ -33,6 +33,7 @@ use crate::bl::{bl_on_active_in, bl_on_active_scratch, BlConfig, BlScratch};
 use crate::coloring::Coloring;
 use crate::greedy::greedy_on_active_in;
 use crate::kuw::kuw_on_active_in;
+use crate::sample;
 use crate::trace::{SblRoundStats, SblTrace, TailAlgorithm};
 
 /// Which algorithm SBL uses on the residual instance (fewer than `1/p²`
@@ -523,12 +524,10 @@ fn sbl_run<E: ActiveEngine + Send + 'static, R: Rng + ?Sized>(
         let mut effective_cap = dimension_cap;
         loop {
             sampled.clear();
-            for &v in &alive {
-                if rng.gen_bool(p) {
-                    marked[v as usize] = true;
-                    sampled.push(v);
-                }
-            }
+            sample::for_each_hit(rng, p, &alive, |v| {
+                marked[v as usize] = true;
+                sampled.push(v);
+            });
             cost.record(Cost::parallel_step(n_alive as u64));
             let sub: &E = match sub_slot {
                 Some(sub) => {

@@ -672,6 +672,15 @@ impl ActiveHypergraph {
         )
     }
 
+    /// `work * 4 < total_live_size()`: whether an incidence walk of `work`
+    /// steps is cheaper than a scan of the live edges. Every live edge has a
+    /// member, so `live_edges.len()` bounds the total from below and settles
+    /// small walks without summing it.
+    fn within_quarter_of_live(&self, work: usize) -> bool {
+        let work4 = work.saturating_mul(4);
+        work4 < self.live_edges.len() || work4 < self.total_live_size()
+    }
+
     /// Removes the vertices of `set` from every live edge. `vs` must list
     /// exactly the set vertices (any order, duplicate-free). Returns the
     /// number of edges that became empty; those edges are dropped.
@@ -684,7 +693,7 @@ impl ActiveHypergraph {
     /// [`par_map_segments`](pram::primitives::par_map_segments) primitive.
     pub fn shrink_edges_by(&mut self, set: &[bool], vs: &[VertexId]) -> usize {
         if let Some(work) = self.incidence_work(vs) {
-            if work.saturating_mul(4) < self.total_live_size() {
+            if self.within_quarter_of_live(work) {
                 return self.shrink_by_incidence(vs);
             }
         }
@@ -778,7 +787,7 @@ impl ActiveHypergraph {
     /// scan of all live edges; the results are identical.
     pub fn discard_edges_touching(&mut self, set: &[bool], vs: &[VertexId]) -> usize {
         if let Some(work) = self.incidence_work(vs) {
-            if work.saturating_mul(4) < self.total_live_size() {
+            if self.within_quarter_of_live(work) {
                 return self.discard_by_incidence(vs);
             }
         }
@@ -1005,7 +1014,7 @@ impl ActiveHypergraph {
         self.rebuild_frontier();
         let use_incidence = self
             .incidence_work(&killed)
-            .is_some_and(|w| w.saturating_mul(4) < self.total_live_size());
+            .is_some_and(|w| self.within_quarter_of_live(w));
         if use_incidence {
             self.discard_by_incidence(&killed);
         } else {
@@ -1026,19 +1035,25 @@ impl ActiveHypergraph {
     /// incident degree is small compared to the instance (the common case
     /// for SBL's samples), the kept edges are found by walking the marked
     /// vertices' incidence lists — `O(Σ_v deg(v))` — instead of scanning
-    /// every live edge: an edge fully inside the mark set is in particular
-    /// incident to a marked vertex, and edges only ever lose members, so the
-    /// parent's construction-time incidence is a sound over-approximation.
-    /// Candidate edge ids are sorted ascending, which *is* frontier order
-    /// (the live-edge frontier is maintained ascending), so both derivations
-    /// keep edges in the identical order.
+    /// every live edge: a kept edge is in particular incident to its first
+    /// live member, which is marked, and edges only ever lose members, so
+    /// the parent's construction-time incidence is a sound
+    /// over-approximation. Each edge is tested for containment only from its
+    /// first live member, so it is recorded at most once. Only the kept ids
+    /// are sorted; ascending *is* frontier order (the live-edge frontier is
+    /// maintained ascending), so both derivations keep edges in the
+    /// identical order.
     ///
     /// `out` may hold arbitrary previous state (a consumed sub-instance from
     /// an earlier round, an engine over a different id space). The cost is
-    /// `O(n_alive + min(T, Σ_v deg(v) · dim) + T_sub · log T_sub)` where `T`
-    /// is the parent's total live size and `T_sub` the sub-instance's —
-    /// crucially *not* `O(id_space)`: the previous state is unwound through
-    /// `out`'s alive list, and epoch stamps survive reuse by construction.
+    /// `O(|vs| + min(T, W · dim) + T_sub · log T_sub)`, where
+    /// `W = Σ_{v ∈ vs} deg(v)` is the walk's incident degree, `T` the
+    /// parent's total live size and `T_sub` the sub-instance's (plus a
+    /// `log |vs|` factor if `vs` is unsorted). It grows with neither
+    /// `n_alive` nor `id_space`: the previous state is unwound through
+    /// `out`'s alive list, epoch stamps survive reuse by construction, and
+    /// `T` itself is only summed once `W` exceeds a quarter of the live edge
+    /// count, when that sum costs `O(W)`.
     ///
     /// Observationally `out` ends up identical to `self.induced_by(marked)`
     /// (the differential suites pin this); only the allocation behaviour and
@@ -1096,45 +1111,54 @@ impl ActiveHypergraph {
         out.edge_offsets.push(0);
         out.edge_vertices.clear();
         out.live_len.clear();
-        // Incidence-directed derivation: collect the live edges incident to
-        // a marked vertex (the only candidates for full containment) in a
-        // single walk, bailing out to the full scan if the mark set's
-        // incident degree turns out to rival the instance size (same
-        // threshold as the trim/discard fast paths). Candidates are sorted
-        // ascending, which *is* frontier order.
+        // Incidence-directed derivation: walk the marked vertices' incidence
+        // lists, keeping each fully contained live edge once — from its first
+        // live member, which is marked whenever the edge is kept — and bail
+        // out to the full scan once the walk's incident degree rivals the
+        // instance size (the trim/discard threshold, `walked ≤ T/4`). Every
+        // live edge has a member, so `live_edges.len() ≤ T` and the exact
+        // budget is only computed once the walk passes the O(1) lower
+        // bound. Sorting the kept ids yields frontier order.
         let mut use_incidence = !matches!(self.incidence, IncidenceIndex::None);
         if use_incidence {
-            let budget = self.total_live_size() / 4;
-            let mut cand = std::mem::take(&mut out.scratch.pairs);
-            cand.clear();
+            let lower_budget = self.live_edges.len() / 4;
+            let mut budget = None;
+            let mut kept = std::mem::take(&mut out.scratch.pairs);
+            kept.clear();
+            let status_ref: &[u8] = &out.status;
             let mut walked = 0usize;
             'walk: for &v in vs {
                 let incident = self.incidence.incident(v).expect("checked above");
                 walked += incident.len();
-                if walked > budget {
+                if walked > lower_budget
+                    && walked > *budget.get_or_insert_with(|| self.total_live_size() / 4)
+                {
                     use_incidence = false;
                     break 'walk;
                 }
+                if status_ref[v as usize] != V_ALIVE {
+                    continue;
+                }
                 for &e in incident {
-                    if self.edge_status[e as usize] == EDGE_LIVE {
-                        cand.push(e as u64);
+                    if self.edge_status[e as usize] != EDGE_LIVE {
+                        continue;
+                    }
+                    let seg = self.live_edge(e);
+                    if seg[0] == v && seg.iter().all(|&u| status_ref[u as usize] == V_ALIVE) {
+                        kept.push(e as u64);
                     }
                 }
             }
             if use_incidence {
-                cand.sort_unstable();
-                cand.dedup();
-                let status_ref: &[u8] = &out.status;
-                for &e in &cand {
+                kept.sort_unstable();
+                for &e in &kept {
                     let seg = self.live_edge(e as EdgeId);
-                    if seg.iter().all(|&v| status_ref[v as usize] == V_ALIVE) {
-                        out.edge_vertices.extend_from_slice(seg);
-                        out.edge_offsets.push(out.edge_vertices.len() as u32);
-                        out.live_len.push(seg.len() as u32);
-                    }
+                    out.edge_vertices.extend_from_slice(seg);
+                    out.edge_offsets.push(out.edge_vertices.len() as u32);
+                    out.live_len.push(seg.len() as u32);
                 }
             }
-            out.scratch.pairs = cand;
+            out.scratch.pairs = kept;
         }
         if !use_incidence {
             // Full scan: keep the live edges fully contained in the sub's
@@ -2028,6 +2052,102 @@ mod tests {
             expected.shrink_edges_by(&blue, &[1])
         );
         assert_eq!(out.live_edges_owned(), expected.live_edges_owned());
+    }
+
+    /// The walk in `induced_by_into` settles small mark sets against the
+    /// O(1) bound `live_edges.len() / 4` and sums the exact budget
+    /// `total_live_size() / 4` only past it. On an engine shrunk so the two
+    /// differ, mark sets whose incident degree sits at, just below and just
+    /// above each bound — the largest ones bailing to the scan mid-walk —
+    /// must all derive what `induced_by` derives.
+    #[test]
+    fn induced_by_into_matches_induced_by_at_the_walk_bounds() {
+        let mut state = 0x2545_F491_4F6C_DD1Du64;
+        let mut next = move |bound: u64| {
+            state = state
+                .wrapping_mul(6364136223846793005)
+                .wrapping_add(1442695040888963407);
+            (state >> 33) % bound
+        };
+        let n = 24u64;
+        let edges: Vec<Vec<VertexId>> = (0..40)
+            .map(|_| (0..3 + next(3)).map(|_| next(n) as VertexId).collect())
+            .collect();
+        let h = hypergraph_from_edges(n as usize, edges);
+        let mut parent = ActiveHypergraph::from_hypergraph(&h);
+        let mut trimmed = vec![false; n as usize];
+        trimmed[0] = true;
+        trimmed[1] = true;
+        parent.kill_vertices(&[0, 1]);
+        parent.shrink_edges_by(&trimmed, &[0, 1]);
+        let mut red = vec![false; n as usize];
+        red[2] = true;
+        parent.kill_vertices(&[2]);
+        parent.discard_edges_touching(&red, &[2]);
+
+        let total = parent.total_live_size();
+        let lower = parent.n_edges() / 4;
+        let exact = total / 4;
+        assert!(lower + 3 <= exact, "bounds {lower} and {exact} must differ");
+        // The shortcut must agree with the exact test both here and on a
+        // copy trimmed until its total is below twice its live edge count,
+        // where the O(1) bound is close to the exact one.
+        let mut small = parent.clone();
+        for v in 3..n as VertexId {
+            if small.total_live_size() < 2 * small.n_edges() {
+                break;
+            }
+            let mut set = vec![false; n as usize];
+            set[v as usize] = true;
+            small.kill_vertices(&[v]);
+            small.shrink_edges_by(&set, &[v]);
+        }
+        assert!(small.n_edges() > 4 && small.total_live_size() < 2 * small.n_edges());
+        for engine in [&parent, &small] {
+            let total = engine.total_live_size();
+            for w in 0..=4 * total {
+                assert_eq!(engine.within_quarter_of_live(w), w * 4 < total, "w={w}");
+            }
+        }
+
+        let targets = [lower - 1, lower, lower + 1, exact - 1, exact, exact + 1];
+        let mut hit = [false; 6];
+        let mut out = ActiveHypergraph::from_parts(vec![true; 3], vec![vec![0, 2]]);
+        for trial in 0..3000 {
+            // A random mark set in random (unsorted) order, dead vertices
+            // included.
+            let mut pool: Vec<VertexId> = (0..n as VertexId).collect();
+            let size = next(n + 1) as usize;
+            for i in 0..size {
+                pool.swap(i, i + next((n as usize - i) as u64) as usize);
+            }
+            let mut vs = pool[..size].to_vec();
+            if trial % 2 == 0 {
+                vs.sort_unstable();
+            }
+            let work = parent.incidence_work(&vs).expect("indexed engine");
+            for (t, &target) in targets.iter().enumerate() {
+                hit[t] |= work == target;
+            }
+            let mut marked = vec![false; n as usize];
+            for &v in &vs {
+                marked[v as usize] = true;
+            }
+            let expected = parent.induced_by(&marked);
+            parent.induced_by_into(&marked, &vs, &mut out);
+            assert_eq!(out.alive_vertices(), expected.alive_vertices(), "{vs:?}");
+            assert_eq!(
+                out.live_edges_owned(),
+                expected.live_edges_owned(),
+                "{vs:?}"
+            );
+            assert_eq!(out.id_space(), expected.id_space());
+            out.debug_validate();
+        }
+        assert_eq!(
+            hit, [true; 6],
+            "incident degrees {targets:?} not all reached"
+        );
     }
 
     #[test]

@@ -54,28 +54,61 @@ proptest! {
 
     /// Random seeds × random consumption patterns: the `ChaCha8Rng` stream
     /// (whatever backend filled its batches) equals the scalar reference
-    /// word for word, under arbitrary interleavings of `next_u32` and
-    /// `next_u64` that repeatedly cross refill seams.
+    /// word for word, under arbitrary interleavings of `next_u32`,
+    /// `next_u64` and `fill_bytes` that repeatedly cross refill seams.
+    /// `fill_bytes` must consume the stream as the vendored `RngCore`
+    /// default does: two words per started 8-byte chunk, written as
+    /// little-endian bytes in stream order, so lengths that are not a
+    /// multiple of 8 still consume the whole last chunk.
     #[test]
     fn rng_stream_matches_scalar_reference(
         seed in 0u64..u64::MAX,
-        pattern in prop::collection::vec(0u8..3u8, 1..300),
+        lead in 0usize..8,
+        pattern in prop::collection::vec((0u8..4u8, 0usize..=1100), 1..300),
     ) {
         let (seed_bytes, key) = seed_and_key(seed);
-        // Upper bound on consumed words: 2 per pattern entry.
-        let reference = scalar_reference_stream(&key, 2 * pattern.len());
+        let words_of = |&(step, len): &(u8, usize)| match step {
+            0 => 1,
+            1 | 2 => 2,
+            _ => len.div_ceil(8) * 2,
+        };
+        let odd_lead = 2 * lead + 1;
+        let reference = scalar_reference_stream(
+            &key,
+            odd_lead + pattern.iter().map(words_of).sum::<usize>(),
+        );
         let mut rng = ChaCha8Rng::from_seed(seed_bytes);
-        let mut at = 0usize;
-        for step in pattern {
-            if step == 0 {
-                prop_assert_eq!(rng.next_u32(), reference[at]);
-                at += 1;
-            } else {
-                let expected =
-                    u64::from(reference[at]) | (u64::from(reference[at + 1]) << 32);
-                prop_assert_eq!(rng.next_u64(), expected);
-                at += 2;
+        // An odd number of `next_u32` calls first, so the pattern starts
+        // from an odd word offset (and later steps shift the parity again).
+        for &word in &reference[..odd_lead] {
+            prop_assert_eq!(rng.next_u32(), word);
+        }
+        let mut at = odd_lead;
+        for step in &pattern {
+            match step.0 {
+                0 => prop_assert_eq!(rng.next_u32(), reference[at]),
+                1 | 2 => {
+                    let expected =
+                        u64::from(reference[at]) | (u64::from(reference[at + 1]) << 32);
+                    prop_assert_eq!(rng.next_u64(), expected);
+                }
+                _ => {
+                    let mut bytes = vec![0u8; step.1];
+                    rng.fill_bytes(&mut bytes);
+                    let expected: Vec<u8> = reference[at..at + words_of(step)]
+                        .iter()
+                        .flat_map(|w| w.to_le_bytes())
+                        .take(step.1)
+                        .collect();
+                    prop_assert!(
+                        bytes == expected,
+                        "fill of {} bytes at word {} diverged",
+                        step.1,
+                        at
+                    );
+                }
             }
+            at += words_of(step);
         }
     }
 
